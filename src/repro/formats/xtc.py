@@ -104,6 +104,10 @@ DEFAULT_PRECISION = 100.0
 # prediction (as the TNG successor format does) to reach the same ~3x ratio
 # with a byte-oriented entropy stage.
 _HEADER = struct.Struct("<iii f 9f f iI")
+#: Smallest precision either side accepts: below it an int32 quantum would
+#: dequantize past float32's range.  The bound also rules out zero,
+#: negative and denormal precisions; NaN and inf fail the finiteness test.
+_MIN_PRECISION = 2.0**31 / float(np.finfo(np.float32).max)
 _FLAG_PFRAME = 1
 # Flag bit 1 set => the payload body is *stored* (not deflated).  Bit-packed
 # deltas are already near the entropy floor, so deflate often buys only a few
@@ -158,6 +162,16 @@ class XtcFrameInfo:
 def raw_frame_nbytes(natoms: int) -> int:
     """Uncompressed payload bytes of one frame (float32 xyz)."""
     return natoms * BYTES_PER_COORD
+
+
+def _check_precision(precision: float, where: str) -> None:
+    """Raise :class:`CodecError` naming ``precision`` unless it is finite
+    and at least ``_MIN_PRECISION``."""
+    if not (math.isfinite(precision) and precision >= _MIN_PRECISION):
+        raise CodecError(
+            f"bad precision {precision!r} {where}: need a finite value "
+            f">= {_MIN_PRECISION:.3g}"
+        )
 
 
 def _quantize(coords: np.ndarray, precision: float) -> np.ndarray:
@@ -606,6 +620,7 @@ def _decode_frame_payload(
     (:func:`_decode_run`) batches whole GOFs instead; this single-frame
     entry point remains for targeted decodes and tests.
     """
+    _check_precision(precision, "in frame header")
     stored = bool(flags & _FLAG_STORED)
     if flags & _FLAG_PFRAME:
         if prev_ints is None:
@@ -731,8 +746,7 @@ def encode_xtc(
     of ``backend`` is reused -- bare calls no longer pay per-call pool
     construction.
     """
-    if precision <= 0:
-        raise CodecError(f"precision must be positive, got {precision}")
+    _check_precision(precision, "requested")
     if keyframe_interval < 1:
         raise CodecError("keyframe interval must be >= 1")
     box9 = tuple(
@@ -899,8 +913,7 @@ def _decode_gof_ints(
     ints = np.empty((nframes, natoms * 3), dtype=np.int64)
     udat = ints.view(np.uint64)
     for pos, info in enumerate(infos):
-        if info.precision <= 0:
-            raise CodecError(f"bad precision {info.precision} in frame {info.index}")
+        _check_precision(info.precision, f"in frame {info.index}")
         begin = info.offset + info.header_nbytes
         payload = view[begin : begin + info.payload_nbytes]
         stored = bool(info.flags & _FLAG_STORED)

@@ -67,8 +67,14 @@ class FileSystem(ABC):
         nbytes: Optional[int] = None,
         request_size: Optional[int] = None,
         label: str = "write",
+        append: bool = False,
     ) -> Generator:
-        """Process: persist an object (materialized or virtual)."""
+        """Process: persist an object (materialized or virtual).
+
+        With ``append`` the payload extends the object (creating it when
+        missing) and only the appended bytes are charged; the returned
+        :class:`StoredObject` describes the bytes this call wrote.
+        """
 
     @abstractmethod
     def read(
@@ -148,7 +154,22 @@ class FileSystem(ABC):
         return self.store.listdir(prefix)
 
     def delete(self, path: str) -> int:
-        return self.store.delete(path)
+        """Remove an object and release its capacity; returns its size."""
+        freed = self.store.delete(path)
+        self._charge(freed, 0)
+        return freed
+
+    def rewrite(self, path: str, data: bytes) -> None:
+        """Replace an object's bytes synchronously.
+
+        A metadata-path operation free of simulated cost, like
+        :meth:`delete` -- for rare maintenance of small objects (PLFS
+        truncates a torn index-log tail and appends tombstones with it).
+        Capacity moves from the old size to the new one.
+        """
+        old = self.store.nbytes(path) if self.store.exists(path) else 0
+        self._charge(old, len(data))
+        self.store.put(path, data=data)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, objects={len(self.store)})"
@@ -196,6 +217,55 @@ class FileSystem(ABC):
         if decision.corrupt and data:
             data = self.faults.corrupt_payload(self.fault_site, op, data)
         return data
+
+    # -- capacity accounting ----------------------------------------------------
+
+    def _charge(self, old: int, new: int) -> None:
+        """Move one object's capacity charge from ``old`` to ``new`` bytes.
+
+        Raises ``StorageFullError`` (changing nothing) when growth does
+        not fit.  The base file system models no capacity.
+        """
+
+    def _reserve(self, path: str, size: int, append: bool) -> int:
+        """Claim capacity for an in-flight write of ``size`` bytes.
+
+        Returns the object size the write extends (0 unless appending);
+        pass it back to :meth:`_commit`, or to :meth:`_unreserve` when the
+        write fails.
+        """
+        base = self.store.nbytes(path) if append and self.store.exists(path) else 0
+        self._charge(base, base + size)
+        return base
+
+    def _unreserve(self, base: int, size: int) -> None:
+        """Release a failed write's reservation."""
+        self._charge(base + size, base)
+
+    def _commit(
+        self,
+        path: str,
+        data: Optional[bytes],
+        size: int,
+        append: bool,
+        base: int,
+    ) -> StoredObject:
+        """Store a completed write and settle its reservation.
+
+        An overwrite releases the replaced object's capacity; an append
+        whose object changed size while it was in flight (a concurrent
+        append landed first) moves its reservation to the real end.
+        """
+        exists = self.store.exists(path)
+        current = self.store.nbytes(path) if exists else 0
+        if not append and exists:
+            self._charge(current, 0)
+        elif append and current != base:
+            self._charge(base + size, base)
+            self._charge(current, current + size)
+        self.store.put(path, data=data, nbytes=size, append=append)
+        self.bytes_written += size
+        return StoredObject(path=path, nbytes=size, data=data)
 
     # -- shared internals -------------------------------------------------------
 

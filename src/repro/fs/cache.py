@@ -100,15 +100,17 @@ class CachedFS(FileSystem):
         nbytes: Optional[int] = None,
         request_size: Optional[int] = None,
         label: str = "write",
+        append: bool = False,
     ) -> Generator:
         # Invalidate *before* the backend write is charged: a concurrent
         # reader must not hit a cache entry the write is about to replace.
         self.invalidate(path)
         # Write-through; the written object becomes cache-resident.
         obj = yield from self.inner.write(
-            path, data=data, nbytes=nbytes, request_size=request_size, label=label
+            path, data=data, nbytes=nbytes, request_size=request_size,
+            label=label, append=append,
         )
-        self._admit(path, obj.nbytes)
+        self._admit(path, self.store.nbytes(path))
         self.bytes_written += obj.nbytes
         return obj
 
@@ -137,6 +139,9 @@ class CachedFS(FileSystem):
         self._admit(path, obj.nbytes)
         self.bytes_read += obj.nbytes
         return obj
+
+    def _charge(self, old: int, new: int) -> None:
+        self.inner._charge(old, new)
 
     def _admit(self, path: str, nbytes: int) -> None:
         key = self.store.normalize(path)
@@ -224,6 +229,10 @@ class BlockCache:
         self.l2_latency_s = float(l2_latency_s)
         self._l1: "OrderedDict[BlockKey, CachedBlock]" = OrderedDict()
         self._l2: "OrderedDict[BlockKey, CachedBlock]" = OrderedDict()
+        # Running byte totals of each tier, updated wherever a block enters
+        # or leaves it, so occupancy checks never re-sum the tiers.
+        self._l1_total = 0
+        self._l2_total = 0
         self.metric_labels: Dict[str, str] = dict(metric_labels or {})
         # Hit/eviction accounting is registry-backed (the attributes above
         # are views); occupancy surfaces as derived gauges so exporters
@@ -296,11 +305,11 @@ class BlockCache:
 
     @property
     def l1_bytes(self) -> float:
-        return float(sum(b.nbytes for b in self._l1.values()))
+        return float(self._l1_total)
 
     @property
     def l2_bytes(self) -> float:
-        return float(sum(b.nbytes for b in self._l2.values()))
+        return float(self._l2_total)
 
     @property
     def cached_bytes(self) -> float:
@@ -340,7 +349,7 @@ class BlockCache:
             ):
                 yield self.sim.timeout(block.nbytes / self.l1_bandwidth)
             return block
-        block = self._l2.pop(key, None)
+        block = self._l2_pop(key)
         if block is not None:
             self.hits_l2 += 1
             self._count_prefetch_use(block)
@@ -366,7 +375,7 @@ class BlockCache:
         """Install (or refresh) a block in L1."""
         if nbytes > self.l1_capacity_bytes:
             return  # larger than the whole L1: bypass
-        self._l2.pop(key, None)
+        self._l2_pop(key)
         self._insert_l1(
             key, CachedBlock(nbytes=int(nbytes), data=data, prefetched=prefetched)
         )
@@ -392,13 +401,10 @@ class BlockCache:
 
         dropped = 0
         for key in [k for k in self._l1 if matches(k)]:
-            block = self._l1.pop(key)
-            self._on_l1_remove(key, block)
-            self._on_removed(key, block)
+            self._on_removed(key, self._l1_pop(key))
             dropped += 1
         for key in [k for k in self._l2 if matches(k)]:
-            block = self._l2.pop(key)
-            self._on_removed(key, block)
+            self._on_removed(key, self._l2_pop(key))
             dropped += 1
         self.invalidations += dropped
         return dropped
@@ -433,23 +439,31 @@ class BlockCache:
             self.prefetch_hits += 1
             block.prefetched = False
 
+    def _l1_pop(self, key: BlockKey) -> CachedBlock:
+        block = self._l1.pop(key)
+        self._l1_total -= block.nbytes
+        self._on_l1_remove(key, block)
+        return block
+
+    def _l2_pop(self, key: BlockKey) -> Optional[CachedBlock]:
+        block = self._l2.pop(key, None)
+        if block is not None:
+            self._l2_total -= block.nbytes
+        return block
+
     def _insert_l1(self, key: BlockKey, block: CachedBlock) -> None:
-        previous = self._l1.pop(key, None)
-        if previous is not None:
-            self._on_l1_remove(key, previous)
+        if key in self._l1:
+            self._l1_pop(key)
         self._l1[key] = block
-        self._l1.move_to_end(key)
+        self._l1_total += block.nbytes
         self._on_l1_insert(key, block)
-        while self.l1_bytes > self.l1_capacity_bytes and len(self._l1) > 1:
+        while self._l1_total > self.l1_capacity_bytes and len(self._l1) > 1:
             victim_key = self._pick_l1_victim()
-            victim = self._l1.pop(victim_key)
-            self._on_l1_remove(victim_key, victim)
-            self._demote(victim_key, victim)
+            self._demote(victim_key, self._l1_pop(victim_key))
         # A single over-budget resident block demotes too.
-        if self.l1_bytes > self.l1_capacity_bytes:
-            only_key, only = self._l1.popitem(last=False)
-            self._on_l1_remove(only_key, only)
-            self._demote(only_key, only)
+        if self._l1_total > self.l1_capacity_bytes:
+            only_key = next(iter(self._l1))
+            self._demote(only_key, self._l1_pop(only_key))
 
     def _demote(self, key: BlockKey, block: CachedBlock) -> None:
         if block.nbytes > self.l2_capacity_bytes:
@@ -457,11 +471,10 @@ class BlockCache:
             return
         self.demotions += 1
         self._l2[key] = block
-        self._l2.move_to_end(key)
-        while self.l2_bytes > self.l2_capacity_bytes and self._l2:
+        self._l2_total += block.nbytes
+        while self._l2_total > self.l2_capacity_bytes and self._l2:
             victim_key = self._pick_l2_victim()
-            evicted = self._l2.pop(victim_key)
-            self._drop(victim_key, evicted)
+            self._drop(victim_key, self._l2_pop(victim_key))
 
     def _drop(self, key: BlockKey, block: CachedBlock) -> None:
         self.evictions += 1

@@ -43,10 +43,11 @@ class LocalFS(FileSystem):
         nbytes: Optional[int] = None,
         request_size: Optional[int] = None,
         label: str = "write",
+        append: bool = False,
     ) -> Generator:
         yield from self._fault_gate("write", path)
         size = self._payload_size(data, nbytes)
-        self.device.allocate(size)
+        base = self._reserve(path, size, append)
         try:
             yield self.sim.timeout(self.metadata_latency_s)
             requests = self._request_count(size, request_size)
@@ -54,11 +55,9 @@ class LocalFS(FileSystem):
         except FaultError:
             # A device-level injected failure: release the reservation so a
             # retried write does not leak capacity.
-            self.device.free(size)
+            self._unreserve(base, size)
             raise
-        self.store.put(path, data=data, nbytes=size)
-        self.bytes_written += size
-        return StoredObject(path=path, nbytes=size, data=data)
+        return self._commit(path, data, size, append, base)
 
     def read(
         self,
@@ -143,23 +142,21 @@ class LocalFS(FileSystem):
             yield from self._fault_gate("write", items[0][0])
             sizes = [self._payload_size(data, None) for _, data in items]
             total = sum(sizes)
-            self.device.allocate(total)
+            self._charge(0, total)
             try:
                 yield self.sim.timeout(self.metadata_latency_s)
                 requests = self._request_count(total, request_size)
                 yield from self.device.write(total, requests=requests, label=label)
             except FaultError:
-                self.device.free(total)
+                self._charge(total, 0)
                 raise
-            objs = []
-            for (path, data), size in zip(items, sizes):
-                self.store.put(path, data=data, nbytes=size)
-                self.bytes_written += size
-                objs.append(StoredObject(path=path, nbytes=size, data=data))
-            return objs
+            return [
+                self._commit(path, data, size, append=False, base=0)
+                for (path, data), size in zip(items, sizes)
+            ]
 
-    def delete(self, path: str) -> int:
-        """Remove an object and release its device capacity."""
-        freed = super().delete(path)
-        self.device.free(freed)
-        return freed
+    def _charge(self, old: int, new: int) -> None:
+        if new > old:
+            self.device.allocate(new - old)
+        else:
+            self.device.free(old - new)

@@ -44,11 +44,14 @@ class ObjectStore:
         data: Optional[bytes] = None,
         nbytes: Optional[int] = None,
         overwrite: bool = True,
+        append: bool = False,
     ) -> int:
         """Store an object; returns its size.
 
         Pass ``data`` for a materialized object (size inferred) or just
-        ``nbytes`` for a virtual one.
+        ``nbytes`` for a virtual one.  With ``append`` the payload extends
+        an existing object instead of replacing it (appending to a missing
+        path creates it; either side virtual makes the result virtual).
         """
         key = self.normalize(path)
         if data is None and nbytes is None:
@@ -58,6 +61,13 @@ class ObjectStore:
         if not overwrite and key in self._entries:
             raise FileExistsInFSError(key)
         size = len(data) if data is not None else int(nbytes)
+        previous = self._entries.get(key) if append else None
+        if previous is not None:
+            if previous.data is None or data is None:
+                data = None
+            else:
+                data = previous.data + data
+            size += previous.nbytes
         self._entries[key] = _Entry(nbytes=size, data=data)
         return size
 

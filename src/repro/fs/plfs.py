@@ -7,16 +7,22 @@ HDD-backed FS.  The underlying file systems see ordinary files and "process
 an assigned data subset as independent files without noticing that the
 contents have been altered from the original" (paper §3.3).
 
-An index object (JSON, stored on the metadata backend) records, per subset
-chunk: tag, backend, path, and size.  The index is what ADA's indexer
-consults to resolve a tag-selective read.
+The index records, per subset chunk: tag, backend, path, size, chunk
+number and CRC-32.  It is what ADA's indexer consults to resolve a
+tag-selective read.  Like PLFS's index droppings it is an append-only
+*log* on the metadata backend (``bar.plfs/index``): each flush appends
+one self-delimiting, CRC-32-framed record per new chunk, so the metadata
+write per chunk append is O(1) bytes whatever the container's size.
+Opening a container replays the log into the records, a per-tag view
+sorted by chunk, and the chunk counters.  DESIGN.md §3.3 gives the
+format, the torn-tail rule and the reopen semantics.
 """
 
 from __future__ import annotations
 
-import json
+import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from repro.errors import (
@@ -33,6 +39,17 @@ __all__ = ["PLFS", "IndexRecord"]
 
 _INDEX_NAME = "index"
 
+#: Index-log record frame: magic, body length, CRC-32 of the body.  The
+#: per-record magic makes every append self-contained, so concurrent
+#: appends may land in either order.
+_FRAME = struct.Struct("<4sII")
+_MAGIC = b"PLX1"
+#: Record body head: kind, chunk bytes, chunk number, chunk CRC-32 (-1 =
+#: virtual); tag, backend and path follow, NUL-separated UTF-8.
+_BODY = struct.Struct("<Bqqq")
+_ADD = 1  # one chunk record
+_DROP = 2  # tombstone: forget every earlier record of the tag
+
 
 @dataclass(frozen=True)
 class IndexRecord:
@@ -48,6 +65,95 @@ class IndexRecord:
     nbytes: int
     chunk: int = 0
     crc: int = -1
+
+
+def _encode(kind: int, tag: str, backend: str = "", path: str = "",
+            nbytes: int = 0, chunk: int = 0, crc: int = 0) -> bytes:
+    body = _BODY.pack(kind, nbytes, chunk, crc)
+    body += "\0".join((tag, backend, path)).encode()
+    return _FRAME.pack(_MAGIC, len(body), zlib.crc32(body)) + body
+
+
+def _encode_record(r: IndexRecord) -> bytes:
+    return _encode(_ADD, r.tag, r.backend, r.path, r.nbytes, r.chunk, r.crc)
+
+
+class _ContainerIndex(list):
+    """A container's records in log order, plus what lookups and flushes
+    need: per-tag lists sorted by chunk, and records not yet in the log."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_tag: Dict[str, List[IndexRecord]] = {}
+        self.unflushed: List[IndexRecord] = []
+
+    def add(self, record: IndexRecord) -> None:
+        self.append(record)
+        chunks = self.by_tag.setdefault(record.tag, [])
+        chunks.append(record)
+        if len(chunks) > 1 and chunks[-2].chunk > record.chunk:
+            # A concurrent writer registered a later chunk first.
+            chunks.sort(key=lambda r: r.chunk)
+
+    def discard(self, record: IndexRecord) -> None:
+        self.remove(record)
+        chunks = self.by_tag[record.tag]
+        chunks.remove(record)
+        if not chunks:
+            del self.by_tag[record.tag]
+        if record in self.unflushed:
+            self.unflushed.remove(record)
+
+    def drop_tag(self, tag: str) -> None:
+        self.by_tag.pop(tag, None)
+        self[:] = [r for r in self if r.tag != tag]
+        self.unflushed = [r for r in self.unflushed if r.tag != tag]
+
+
+def _replay(logical: str, blob: bytes) -> "tuple[_ContainerIndex, int]":
+    """Rebuild a container index from its log.
+
+    Returns the index and the length of the log's valid prefix: a final
+    record shorter than its frame claims is a torn append and ends the
+    replay.  A complete record that fails its CRC-32 or does not parse
+    raises :class:`ContainerError`.
+    """
+    index = _ContainerIndex()
+    pos, end = 0, len(blob)
+    while pos < end:
+        if not _MAGIC.startswith(blob[pos:pos + len(_MAGIC)]):
+            raise ContainerError(
+                f"corrupt index for {logical!r}: no index-log record at "
+                f"byte {pos}"
+            )
+        if end - pos < _FRAME.size:
+            break
+        _, length, crc = _FRAME.unpack_from(blob, pos)
+        start = pos + _FRAME.size
+        if start + length > end:
+            break
+        body = blob[start:start + length]
+        actual = zlib.crc32(body)
+        if actual != crc:
+            raise ContainerError(
+                f"corrupt index for {logical!r}: record at byte {pos} has "
+                f"CRC-32 {actual:#010x}, log says {crc:#010x}"
+            )
+        try:
+            kind, nbytes, chunk, chunk_crc = _BODY.unpack_from(body)
+            tag, backend, path = body[_BODY.size:].decode().split("\0")
+            if kind not in (_ADD, _DROP):
+                raise ValueError(f"unknown record kind {kind}")
+        except (struct.error, ValueError) as exc:
+            raise ContainerError(
+                f"corrupt index for {logical!r}: record at byte {pos}: {exc}"
+            ) from exc
+        if kind == _ADD:
+            index.add(IndexRecord(tag, backend, path, nbytes, chunk, chunk_crc))
+        else:
+            index.drop_tag(tag)
+        pos = start + length
+    return index, pos
 
 
 class PLFS:
@@ -68,7 +174,7 @@ class PLFS:
             raise ConfigurationError(
                 f"metadata backend {self.metadata_backend!r} is not a backend"
             )
-        self._indexes: Dict[str, List[IndexRecord]] = {}
+        self._indexes: Dict[str, _ContainerIndex] = {}
         self._chunk_counters: Dict[tuple, int] = {}
 
     # -- paths ------------------------------------------------------------
@@ -94,39 +200,66 @@ class PLFS:
 
     def tags(self, logical: str) -> List[str]:
         """Distinct subset tags present in a container, sorted."""
-        return sorted({r.tag for r in self.container_index(logical)})
+        return sorted(self._open(logical).by_tag)
 
     def container_index(self, logical: str) -> List[IndexRecord]:
-        """The container's index records (cached after first load)."""
-        if logical in self._indexes:
-            return list(self._indexes[logical])
-        meta_fs = self.backends[self.metadata_backend]
-        path = self.index_path(logical)
-        if not meta_fs.exists(path):
-            raise ContainerError(f"no container index for {logical!r}")
-        try:
-            records = [
-                IndexRecord(**rec) for rec in json.loads(meta_fs.data(path))
-            ]
-        except (ValueError, TypeError) as exc:
-            raise ContainerError(f"corrupt index for {logical!r}: {exc}") from exc
-        self._indexes[logical] = records
-        return list(records)
+        """The container's index records (replayed from its log once)."""
+        return list(self._open(logical))
 
     def subset_records(self, logical: str, tag: str) -> List[IndexRecord]:
-        records = [r for r in self.container_index(logical) if r.tag == tag]
+        """One subset's records, sorted by chunk."""
+        return list(self._subset(logical, tag))
+
+    def subset_nbytes(self, logical: str, tag: str) -> int:
+        return sum(r.nbytes for r in self._subset(logical, tag))
+
+    def container_nbytes(self, logical: str) -> int:
+        return sum(r.nbytes for r in self._open(logical))
+
+    def _subset(self, logical: str, tag: str) -> List[IndexRecord]:
+        index = self._open(logical)
+        records = index.by_tag.get(tag)
         if not records:
             raise TagNotFoundError(
                 f"container {logical!r} has no subset tagged {tag!r} "
-                f"(available: {self.tags(logical)})"
+                f"(available: {sorted(index.by_tag)})"
             )
-        return sorted(records, key=lambda r: r.chunk)
+        return records
 
-    def subset_nbytes(self, logical: str, tag: str) -> int:
-        return sum(r.nbytes for r in self.subset_records(logical, tag))
+    def _open(self, logical: str, create: bool = False) -> _ContainerIndex:
+        """The container's in-memory index, replaying its log on first use.
 
-    def container_nbytes(self, logical: str) -> int:
-        return sum(r.nbytes for r in self.container_index(logical))
+        Replay also restores the chunk counters (max chunk + 1 per tag), so
+        a restarted client never reuses a stored chunk's name, and
+        truncates a torn final record so later appends extend a clean log.
+        ``create`` starts an empty index for a container with no log yet.
+        """
+        index = self._indexes.get(logical)
+        if index is not None:
+            return index
+        meta_fs = self.backends[self.metadata_backend]
+        path = self.index_path(logical)
+        if meta_fs.exists(path):
+            blob = meta_fs.data(path)
+            index, valid = _replay(logical, blob)
+            if valid < len(blob):
+                meta_fs.rewrite(path, blob[:valid])
+            for tag, records in index.by_tag.items():
+                key = (logical, tag)
+                self._chunk_counters[key] = max(
+                    self._chunk_counters.get(key, 0), records[-1].chunk + 1
+                )
+        elif create:
+            index = _ContainerIndex()
+        else:
+            raise ContainerError(f"no container index for {logical!r}")
+        self._indexes[logical] = index
+        return index
+
+    def _claim_chunk(self, logical: str, tag: str) -> int:
+        chunk = self._chunk_counters.get((logical, tag), 0)
+        self._chunk_counters[(logical, tag)] = chunk + 1
+        return chunk
 
     # -- DES processes ------------------------------------------------------------
 
@@ -142,13 +275,12 @@ class PLFS:
         """Process: append one subset chunk to a container."""
         if backend not in self.backends:
             raise ConfigurationError(f"unknown backend {backend!r}")
-        records = self._indexes.setdefault(logical, [])
+        self._open(logical, create=True)
         # Chunk numbers come from a counter claimed *before* the write (so
         # concurrent writers pick distinct names), but the index record is
         # registered only *after* the backend write succeeds (so a failed
         # dispatch leaves no dangling index entry).
-        chunk = self._chunk_counters.get((logical, tag), 0)
-        self._chunk_counters[(logical, tag)] = chunk + 1
+        chunk = self._claim_chunk(logical, tag)
         path = self.chunk_path(logical, tag, chunk)
         size = FileSystem._payload_size(data, nbytes)
         yield from self.backends[backend].write(
@@ -162,17 +294,7 @@ class PLFS:
             chunk=chunk,
             crc=zlib.crc32(data) if data is not None else -1,
         )
-        records.append(record)
-        try:
-            yield from self._flush_index(logical)
-        except FaultError:
-            # Roll the chunk back so a dispatcher-level retry rewrites it
-            # cleanly instead of duplicating subset bytes.
-            records.pop()
-            backend_fs = self.backends[backend]
-            if backend_fs.exists(path):
-                backend_fs.delete(path)
-            raise
+        yield from self._register(logical, [record], backend)
         return record
 
     def verify_chunk(self, record: IndexRecord, obj: StoredObject) -> None:
@@ -185,10 +307,13 @@ class PLFS:
         """
         if record.crc == -1 or obj.data is None:
             return
-        if len(obj.data) != record.nbytes or zlib.crc32(obj.data) != record.crc:
+        actual = zlib.crc32(obj.data)
+        if len(obj.data) != record.nbytes or actual != record.crc:
             raise CorruptionError(
-                f"plfs: checksum mismatch reading {record.path} "
-                f"(got {len(obj.data)} B, expected {record.nbytes} B)"
+                f"plfs: checksum mismatch reading tag {record.tag!r} chunk "
+                f"{record.chunk} ({record.path}): got {len(obj.data)} B "
+                f"CRC-32 {actual:#010x}, expected {record.nbytes} B "
+                f"CRC-32 {record.crc:#010x}"
             )
 
     def read_chunk_run(
@@ -265,13 +390,9 @@ class PLFS:
             raise ConfigurationError(f"unknown backend {backend!r}")
         if not entries:
             return []
-        records = self._indexes.setdefault(logical, [])
+        self._open(logical, create=True)
         backend_fs = self.backends[backend]
-        chunks = []
-        for tag, _data in entries:
-            chunk = self._chunk_counters.get((logical, tag), 0)
-            self._chunk_counters[(logical, tag)] = chunk + 1
-            chunks.append(chunk)
+        chunks = [self._claim_chunk(logical, tag) for tag, _data in entries]
         items = [
             (self.chunk_path(logical, tag, chunk), data)
             for (tag, data), chunk in zip(entries, chunks)
@@ -305,18 +426,7 @@ class PLFS:
             )
             for (tag, data), (path, _), chunk in zip(entries, items, chunks)
         ]
-        records.extend(run_records)
-        try:
-            yield from self._flush_index(logical)
-        except FaultError:
-            # Roll the whole run back (records by identity -- concurrent
-            # writers may have appended behind us) so a retry rewrites it
-            # cleanly instead of duplicating subset bytes.
-            for record in run_records:
-                records.remove(record)
-                if backend_fs.exists(record.path):
-                    backend_fs.delete(record.path)
-            raise
+        yield from self._register(logical, run_records, backend)
         return run_records
 
     def read_subset(
@@ -450,31 +560,70 @@ class PLFS:
 
         The rebalancer's cleanup primitive: after a subset migrates to
         another node, the source drops just that ``(logical, tag)`` --
-        the rest of the container (and its index) stays serviceable.
-        Deleting the last subset removes the container entirely.
+        the rest of the container (and its index) stays serviceable.  A
+        tombstone appended to the index log makes the deletion survive a
+        reopen.  Deleting the last subset removes the container entirely.
         """
-        records = self.container_index(logical)
-        keep = [r for r in records if r.tag != tag]
-        if len(keep) == len(records):
+        index = self._open(logical)
+        records = index.by_tag.get(tag)
+        if not records:
             return 0
-        if not keep:
+        if len(index.by_tag) == 1:
             return self.delete_container(logical)
         freed = 0
         for record in records:
-            if record.tag != tag:
-                continue
             backend = self.backends[record.backend]
             if backend.exists(record.path):
                 freed += backend.delete(record.path)
-        self._indexes[logical] = keep
+        index.drop_tag(tag)
         self._chunk_counters.pop((logical, tag), None)
+        meta_fs = self.backends[self.metadata_backend]
+        path = self.index_path(logical)
+        if meta_fs.exists(path):
+            meta_fs.rewrite(path, meta_fs.data(path) + _encode(_DROP, tag))
         return freed
 
+    def _register(
+        self, logical: str, run_records: List[IndexRecord], backend: str
+    ) -> Generator:
+        """Process: index a run's stored chunks and append them to the log.
+
+        An append fault rolls the whole run back -- its own records and
+        chunk objects only, since concurrent writers may have registered
+        behind it -- so a dispatcher-level retry rewrites it cleanly
+        instead of duplicating subset bytes.
+        """
+        index = self._open(logical, create=True)
+        for record in run_records:
+            index.add(record)
+        index.unflushed.extend(run_records)
+        try:
+            yield from self._flush_index(logical)
+        except FaultError:
+            backend_fs = self.backends[backend]
+            for record in run_records:
+                index.discard(record)
+                if backend_fs.exists(record.path):
+                    backend_fs.delete(record.path)
+            raise
+
     def _flush_index(self, logical: str) -> Generator:
-        """Persist the index object to the metadata backend."""
-        payload = json.dumps(
-            [asdict(r) for r in self._indexes[logical]]
-        ).encode()
-        yield from self.backends[self.metadata_backend].write(
-            self.index_path(logical), data=payload, label="plfs-index"
-        )
+        """Process: append the container's unflushed records to its log.
+
+        Only the new records' bytes reach the metadata backend.  A failed
+        append puts its records back, so a writer whose run it carried
+        loses nothing and a later flush persists each record once.
+        """
+        index = self._indexes[logical]
+        batch, index.unflushed = index.unflushed, []
+        if not batch:
+            return
+        payload = b"".join(map(_encode_record, batch))
+        try:
+            yield from self.backends[self.metadata_backend].write(
+                self.index_path(logical), data=payload, append=True,
+                label="plfs-index",
+            )
+        except BaseException:
+            index.unflushed[:0] = batch
+            raise

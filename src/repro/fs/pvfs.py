@@ -93,21 +93,11 @@ class PVFS(FileSystem):
         nbytes: Optional[int] = None,
         request_size: Optional[int] = None,
         label: str = "write",
+        append: bool = False,
     ) -> Generator:
         yield from self._fault_gate("write", path)
         size = self._payload_size(data, nbytes)
-        layout = self.stripe_layout(size)
-        # Check the whole layout before allocating anything so a mid-loop
-        # failure cannot leak partially-reserved capacity.
-        for target, share in zip(self.targets, layout):
-            if share and share > target.device.free_bytes:
-                raise StorageFullError(
-                    f"{self.name}: target {target.name} needs {share:.3e} B, "
-                    f"has {target.device.free_bytes:.3e} B free"
-                )
-        for target, share in zip(self.targets, layout):
-            if share:
-                target.device.allocate(share)
+        base = self._reserve(path, size, append)
         try:
             yield self.sim.timeout(self.metadata_latency_s)
             procs = [
@@ -115,7 +105,7 @@ class PVFS(FileSystem):
                     self._target_io(t, share, request_size, label, write=True),
                     name=f"{self.name}:write:{t.name}",
                 )
-                for t, share in zip(self.targets, layout)
+                for t, share in zip(self.targets, self._shares(base, base + size))
                 if share
             ]
             if procs:
@@ -123,13 +113,9 @@ class PVFS(FileSystem):
         except FaultError:
             # A target-level injected failure: release every stripe
             # reservation so a retried write starts from a clean slate.
-            for target, share in zip(self.targets, layout):
-                if share:
-                    target.device.free(share)
+            self._unreserve(base, size)
             raise
-        self.store.put(path, data=data, nbytes=size)
-        self.bytes_written += size
-        return StoredObject(path=path, nbytes=size, data=data)
+        return self._commit(path, data, size, append, base)
 
     def read(
         self,
@@ -158,15 +144,29 @@ class PVFS(FileSystem):
         data = self._fault_payload(decision, "read", data)
         return StoredObject(path=path, nbytes=size, data=data)
 
-    def delete(self, path: str) -> int:
-        """Remove an object and release capacity on every target."""
-        size = self.store.nbytes(path)
-        layout = self.stripe_layout(size)
-        freed = super().delete(path)
-        for target, share in zip(self.targets, layout):
-            if share:
-                target.device.free(share)
-        return freed
+    def _shares(self, old: int, new: int) -> List[int]:
+        """Bytes each target gains when an object grows from ``old`` to
+        ``new`` bytes (negative when it shrinks)."""
+        return [
+            n - o
+            for n, o in zip(self.stripe_layout(new), self.stripe_layout(old))
+        ]
+
+    def _charge(self, old: int, new: int) -> None:
+        shares = self._shares(old, new)
+        # Check every target before allocating anything so a full target
+        # cannot leave partially-reserved capacity behind.
+        for target, share in zip(self.targets, shares):
+            if share > 0 and share > target.device.free_bytes:
+                raise StorageFullError(
+                    f"{self.name}: target {target.name} needs {share:.3e} B, "
+                    f"has {target.device.free_bytes:.3e} B free"
+                )
+        for target, share in zip(self.targets, shares):
+            if share > 0:
+                target.device.allocate(share)
+            elif share < 0:
+                target.device.free(-share)
 
     def _target_io(
         self,

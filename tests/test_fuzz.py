@@ -7,6 +7,10 @@ else -- IndexError, struct.error, UnicodeDecodeError, segfault-adjacent
 numpy errors -- is a bug these tests exist to catch.
 """
 
+import math
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +197,51 @@ def test_fuzz_xtc_header_bitflip_never_crashes_untyped(k, bit):
         decode_xtc(_flipped(pos, bit))
     except CodecError:
         pass
+
+
+#: Byte offset of the precision field in a frame header (after magic,
+#: natoms, step, time and the 3x3 box).
+_PRECISION_OFFSET = 4 * 4 + 4 * 9
+_F32_TINY = float(np.finfo(np.float32).tiny)
+
+
+def _with_precision(value):
+    mutant = bytearray(_XTC_BLOB)
+    for info in _XTC_INFOS:
+        struct.pack_into("<f", mutant, info.offset + _PRECISION_OFFSET, value)
+    return bytes(mutant)
+
+
+def _decode_with_precision(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the case
+        return decode_xtc(_with_precision(value))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 0.0, -100.0,
+     float(np.float32(1e-40)), float(np.float32(1e-35))],
+)
+def test_xtc_rejects_unusable_header_precision(value):
+    with pytest.raises(CodecError, match="bad precision") as info:
+        _decode_with_precision(value)
+    assert repr(value) in str(info.value)
+
+
+@settings(**SETTINGS)
+@given(value=st.floats(width=32))
+def test_fuzz_xtc_precision_field(value):
+    """Any precision decodes to finite coordinates or raises a typed error
+    carrying the value -- NaN, inf, zero, negative and denormal always
+    raise -- and never emits a RuntimeWarning."""
+    try:
+        traj = _decode_with_precision(value)
+    except CodecError as exc:
+        assert repr(value) in str(exc)
+        return
+    assert math.isfinite(value) and value >= _F32_TINY
+    assert np.isfinite(traj.coords).all()
 
 
 @settings(**SETTINGS)
