@@ -37,7 +37,7 @@ Shared-memory ownership rules (enforced here, relied on by tests):
    the same slices; encode is pure) -- then fails typed.
 
 Pool lifecycle is observable through the ambient
-:class:`~repro.obs.metrics.MetricsRegistry`: spawns/spawn seconds,
+:class:`~repro.obs.metrics.MetricsRegistry`: spawns,
 restarts after crashes, closes, tasks, task failures, and shared-memory
 segments/bytes/active count.
 """
@@ -49,7 +49,6 @@ import itertools
 import multiprocessing
 import os
 import threading
-import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -59,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CodecError
-from repro.obs.metrics import TIME_BUCKETS, MetricsRegistry, global_registry
+from repro.obs.metrics import MetricsRegistry, global_registry
 
 __all__ = [
     "BACKENDS",
@@ -189,7 +188,6 @@ class CodecPool:
     def _ensure(self):
         with self._lock:
             if self._executor is None:
-                start = time.perf_counter()
                 if self._backend == "process":
                     self._executor = ProcessPoolExecutor(
                         max_workers=self.workers, mp_context=_FORK_CTX
@@ -199,11 +197,6 @@ class CodecPool:
                         max_workers=self.workers, thread_name_prefix="codec"
                     )
                 self._counter("codec_pool_spawns_total").inc()
-                self.metrics.histogram(
-                    "codec_pool_spawn_seconds",
-                    bounds=TIME_BUCKETS,
-                    backend=self._backend,
-                ).observe(time.perf_counter() - start)
             return self._executor
 
     def _restart(self) -> None:
