@@ -15,13 +15,14 @@ the middleware out:
   flag and load gauges.  Each node owns its *own* backends, block cache,
   prefetcher, and retriever, so N nodes mean N independent device queues
   and N private working sets.
-* :class:`ShardedADA` -- the front: exposes the same ``fetch`` /
-  ``fetch_chunks`` / ``fetch_merged`` / ``ingest_stream`` surface as a
+* :class:`ShardedADA` -- the ring placement under the shared
+  :class:`~repro.core.middleware.ADAFront`: the same ``fetch`` /
+  ``fetch_chunks`` / ``fetch_merged`` / ``ingest_stream`` code as a
   single :class:`~repro.core.middleware.ADA` (``repro.serve`` and
-  ``repro.vmd`` run on top unmodified), routing every subset operation to
-  its owners.  The hot active subset (tag ``p`` by default) is replicated
-  to R nodes with read-any/primary-write semantics; reads pick the
-  least-loaded live replica (sticky per stream, so sequential scans keep
+  ``repro.vmd`` run on top unmodified), with every subset operation
+  routed to its owners.  The hot active subset (tag ``p`` by default) is
+  replicated to R nodes with read-any/primary-write semantics; reads pick
+  the least-loaded live replica (sticky per stream, so sequential scans keep
   training one shard's stride detector); a dead node triggers failover to
   a surviving replica, and an unreplicated subset whose only holder died
   degrades exactly like a lost inactive tier
@@ -42,23 +43,16 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import warnings
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.ingest import IngestPipeline, IngestPipelineConfig
+from repro.core.ingest import IngestPipelineConfig
 from repro.core.labeler import LabelMap
-from repro.core.lod import (
-    base_tags,
-    is_lod_tag,
-    lod_max_error,
-    lod_tag,
-    validate_precision,
-)
-from repro.core.middleware import ADA, IngestReceipt, merge_decoded_subsets
+from repro.core.middleware import ADA, ADAFront
+# Re-exported: code that imports the merge step from here keeps
+# resolving it (the shared front in middleware.py is what calls it).
+from repro.core.middleware import merge_decoded_subsets  # noqa: F401
 from repro.errors import (
     ConfigurationError,
-    DegradedReadWarning,
-    FaultError,
     LabelIndexError,
     NodeDownError,
     PermanentFaultError,
@@ -66,7 +60,6 @@ from repro.errors import (
 from repro.faults.plan import PERMANENT, FaultPlan, raise_fault
 from repro.faults.retry import Retrier, RetryPolicy, RetryStats
 from repro.fs.base import FileSystem, StoredObject
-from repro.fs.cache import DERIVED_SUBSET
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.sim import AllOf, Simulator
@@ -241,12 +234,12 @@ class _ClusterIndex:
         )
 
     def subset_records(self, logical: str, tag: str):
-        node = self._front._any_holder(logical, tag)
-        return node.ada.plfs.subset_records(logical, tag)
+        return self._front._holder(logical, tag).plfs.subset_records(
+            logical, tag
+        )
 
     def subset_nbytes(self, logical: str, tag: str) -> int:
-        node = self._front._any_holder(logical, tag)
-        return node.ada.plfs.subset_nbytes(logical, tag)
+        return self._front.subset_nbytes(logical, tag)
 
     def container_nbytes(self, logical: str) -> int:
         return self._front.container_nbytes(logical)
@@ -313,8 +306,9 @@ class _PrefetchFanout:
         return out
 
 
-class ShardedADA:
-    """N ADA middleware nodes behind one single-middleware surface.
+class ShardedADA(ADAFront):
+    """N ADA middleware nodes behind the shared ADA front: the ring
+    placement.
 
     Containers partition across nodes by consistent-hashing ``(logical,
     tag)``; tags in ``replicated_tags`` (the hot active subset) land on
@@ -323,8 +317,11 @@ class ShardedADA:
     (primary first, so the primary's copy is never behind a replica's),
     and ``fetch_merged`` scatter-gathers each tag from its own shard.
 
-    The surface mirrors :class:`ADA` closely enough that
-    :class:`~repro.serve.ServeFront` and
+    Ingest, the tier policy, reads, merge and metadata are
+    :class:`~repro.core.middleware.ADAFront`'s, shared with single-node
+    :class:`ADA`; this class answers the front's placement hooks and adds
+    what only a cluster has: membership, routing and failover, and
+    rebalancing.  :class:`~repro.serve.ServeFront` and
     :class:`~repro.vmd.session.VMDSession` run unmodified on top.
     """
 
@@ -346,10 +343,12 @@ class ShardedADA:
             raise ConfigurationError("ShardedADA needs at least one node")
         if replicas < 1:
             raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
+        super().__init__()
         self.sim = sim
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if getattr(sim, "metrics", None) is None:
             sim.metrics = self.metrics
+        self.metric_labels: Dict[str, str] = {"shard": "front"}
         self.replicas = int(replicas)
         self.replicated_tags = tuple(replicated_tags)
         self.affinity_slack = int(affinity_slack)
@@ -361,15 +360,12 @@ class ShardedADA:
         #: data currently *is*, so reads keep resolving mid-migration.
         self._placement: Dict[Tuple[str, str], List[str]] = {}
         self._catalog: Dict[str, List[str]] = {}
-        self._label_maps: Dict[str, LabelMap] = {}
         self._affinity: Dict[Tuple[str, str], str] = {}
         #: Failure/recovery timeline: kill and failover events in sim time.
         self.events: List[Dict[str, object]] = []
         #: (logical, tag, dead primary) already logged as promoted, so the
         #: timeline records each promotion once, not once per read.
         self._promoted: set = set()
-        #: (logical, tag, reason) for every degraded fetch_all (ADA mirror).
-        self.degraded: List[Tuple[str, str, str]] = []
         self.block_cache = None  # per-shard caches live inside the nodes
         self.plfs = _ClusterIndex(self)
         self.prefetcher = _PrefetchFanout(self)
@@ -379,7 +375,7 @@ class ShardedADA:
                 sim,
                 policy=retry_policy,
                 stats=RetryStats(
-                    metrics=self.metrics, metric_labels={"shard": "front"}
+                    metrics=self.metrics, metric_labels=self.metric_labels
                 ),
             )
             if fault_plan is not None
@@ -389,15 +385,9 @@ class ShardedADA:
             "routed": self.metrics.counter("cluster_routed_total"),
             "failovers": self.metrics.counter("cluster_failovers_total"),
             "kills": self.metrics.counter("cluster_node_kills_total"),
-            "degraded": self.metrics.counter("cluster_degraded_reads_total"),
             "keys_moved": self.metrics.counter("cluster_keys_moved_total"),
             "bytes_moved": self.metrics.counter("cluster_bytes_moved_total"),
-            "lod_routed": self.metrics.counter("cluster_lod_routed_total"),
-            "lod_fallback": self.metrics.counter(
-                "cluster_lod_fallback_total"
-            ),
         }
-        self._ingest_pipeline: Optional[IngestPipeline] = None
         for node in nodes:
             self._register(node)
         # The front does host-side preprocessing (categorize/encode)
@@ -405,6 +395,7 @@ class ShardedADA:
         first = next(iter(self.nodes.values()))
         self.preprocessor = first.ada.preprocessor
         self.policy = first.ada.policy
+        self.lod_precision = self.preprocessor.lod_precision
 
     # -- membership -----------------------------------------------------------
 
@@ -463,14 +454,15 @@ class ShardedADA:
                 f"no placement for {logical!r}#{tag!r}"
             ) from None
 
-    def _any_holder(self, logical: str, tag: str) -> ShardNode:
+    def _holder(self, logical: str, tag: str) -> ADA:
+        """A live holder's middleware, for cost-free metadata."""
         names = self.holders(logical, tag)
         for name in names:
             if self.nodes[name].alive:
-                return self.nodes[name]
+                return self.nodes[name].ada
         # Every holder is down; metadata is still resolvable from the
         # first holder's in-memory index (it just cannot serve reads).
-        return self.nodes[names[0]]
+        return self.nodes[names[0]].ada
 
     # -- routing core -----------------------------------------------------------
 
@@ -528,34 +520,25 @@ class ShardedADA:
             raise_fault(decision.error, site, op)
 
     def _attempt(
-        self, node: ShardNode, op: str, factory: Callable[[ShardNode], Generator]
+        self, node: ShardNode, op: str, fn: Callable[[ADA], Generator]
     ) -> Generator:
         yield from self._gate(node, op)
-        result = yield from factory(node)
+        result = yield from fn(node.ada)
         return result
 
     @staticmethod
     def _result_nbytes(result) -> int:
-        if isinstance(result, StoredObject):
-            return int(result.nbytes)
-        if isinstance(result, (list, tuple)):
-            return int(
-                sum(
-                    o.nbytes
-                    for o in result
-                    if isinstance(o, StoredObject)
-                )
-            )
-        return 0
+        objs = result if isinstance(result, (list, tuple)) else [result]
+        return int(sum(o.nbytes for o in objs if isinstance(o, StoredObject)))
 
-    def _routed(
+    def _on_holder(
         self,
         logical: str,
         tag: str,
         op: str,
-        factory: Callable[[ShardNode], Generator],
+        fn: Callable[[ADA], Generator],
     ) -> Generator:
-        """Process: run ``factory(node)`` on the best live holder.
+        """Process: run ``fn(node.ada)`` on the best live holder.
 
         Transient shard faults retry on the *same* node (bounded by the
         front's retry policy); a dead node -- killed out-of-band or by a
@@ -585,11 +568,11 @@ class ShardedADA:
                 try:
                     if self._retrier is not None:
                         result = yield from self._retrier.call(
-                            lambda n=node: self._attempt(n, op, factory),
+                            lambda n=node: self._attempt(n, op, fn),
                             key=f"shard:{name}:{op}:{logical}#{tag}",
                         )
                     else:
-                        result = yield from self._attempt(node, op, factory)
+                        result = yield from self._attempt(node, op, fn)
                 except (NodeDownError, PermanentFaultError) as exc:
                     tried.append(name)
                     self._counters["failovers"].inc()
@@ -638,20 +621,21 @@ class ShardedADA:
                 sp.tag(node=name)
                 return result
 
-    # -- ingest (write) path -----------------------------------------------------
+    # -- the front's other placement hooks ----------------------------------------
 
-    def _route_subsets(
+    def _write(
         self,
         logical: str,
         subsets: Dict[str, bytes],
-        store_op: str = "store",
-        coalesce: bool = True,
+        config: Optional[IngestPipelineConfig] = None,
     ) -> Generator:
         """Process: write each tag's blob to every holder, in parallel.
 
         Primary-write semantics: the holder list is ring order, primary
         first; all copies are written before the ingest completes, so a
         later failover can serve bit-identical bytes from any replica.
+        Chunk order per ``(node, logical, tag)`` follows window order, so
+        every replica stores byte-identical chunks.
         """
         procs = []
         for tag in sorted(subsets):
@@ -664,13 +648,13 @@ class ShardedADA:
                     tags.append(tag)
                     tags.sort()
             for name in self._placement[key]:
-                node = self.nodes[name]
-                if store_op == "store_run":
-                    gen = node.ada.determinator.store_run(
-                        logical, {tag: blob}, coalesce=coalesce
+                determinator = self.nodes[name].ada.determinator
+                if config is not None and config.pipelined:
+                    gen = determinator.store_run(
+                        logical, {tag: blob}, coalesce=config.coalesce
                     )
                 else:
-                    gen = node.ada.determinator.store(logical, {tag: blob})
+                    gen = determinator.store(logical, {tag: blob})
                 procs.append(
                     self.sim.process(
                         gen, name=f"shardwrite:{name}:{logical}#{tag}"
@@ -679,233 +663,10 @@ class ShardedADA:
         if procs:
             yield AllOf(self.sim, procs)
 
-    def _charge_preprocess(self, raw_nbytes: float) -> Generator:
-        """Process: the front's pre-processing CPU charge.
-
-        Charged on the primary holder's storage CPUs when it has any
-        (mirrors single-node ADA; a no-op for CPU-less deployments).
-        """
-        first = next(iter(self.nodes.values()))
-        yield from first.ada._charge_preprocess(raw_nbytes)
-
-    def ingest(
-        self, logical: str, pdb_text: str, trajectory_blob: bytes
-    ) -> Generator:
-        """Process: pre-process once, route each tagged subset to its shard."""
-        result = self.preprocessor.process(pdb_text, trajectory_blob)
-        yield from self._charge_preprocess(result.raw_nbytes)
-        self._label_maps[logical] = result.label_map
-        with span(self.sim, "cluster.ingest", logical=logical):
-            yield from self._route_subsets(logical, result.subsets)
-        return self._receipt(
-            logical,
-            result.label_map,
-            {tag: len(blob) for tag, blob in result.subsets.items()},
-            result.raw_nbytes,
-            result.compressed_nbytes,
-        )
-
-    def ingest_append(self, logical: str, trajectory_blob: bytes) -> Generator:
-        """Process: append a chunk; each tag lands on its existing holders."""
-        label_map = self.label_map(logical)
-        result = self.preprocessor.process_chunk(label_map, trajectory_blob)
-        yield from self._charge_preprocess(result.raw_nbytes)
-        with span(self.sim, "cluster.ingest_append", logical=logical):
-            yield from self._route_subsets(logical, result.subsets)
-        self._invalidate_derived(logical)
-        return self._receipt(
-            logical,
-            label_map,
-            {tag: len(blob) for tag, blob in result.subsets.items()},
-            result.raw_nbytes,
-            result.compressed_nbytes,
-        )
-
-    def ingest_stream(
-        self,
-        logical: str,
-        trajectory_blob: bytes,
-        pdb_text: Optional[str] = None,
-        config: Optional[IngestPipelineConfig] = None,
-    ) -> Generator:
-        """Process: windowed streaming ingest with sharded write-behind.
-
-        The front runs the same bounded producer/consumer pipeline as a
-        single middleware; the dispatch stage fans each window's tags out
-        to their holder shards as coalesced chunk runs.  Chunk order per
-        ``(node, logical, tag)`` follows window order, so every replica
-        stores byte-identical chunks.
-        """
-        config = config or IngestPipelineConfig()
-        if pdb_text is not None:
-            label_map = self.preprocessor.analyze_structure(pdb_text)
-            self._label_maps[logical] = label_map
-            appending = False
-        else:
-            label_map = self.label_map(logical)
-            appending = True
-        if (
-            self._ingest_pipeline is None
-            or self._ingest_pipeline.config != config
-        ):
-            self._ingest_pipeline = IngestPipeline(
-                self.sim, config, metrics=self.metrics,
-                metric_labels={"shard": "front"},
-            )
-        windows = self.preprocessor.process_windows(
-            label_map, trajectory_blob, config.window_frames
-        )
-        subset_sizes: Dict[str, int] = {}
-        raw_total = [0]
-
-        def dispatch_window(result) -> Generator:
-            raw_total[0] += result.raw_nbytes
-            for tag, blob in result.subsets.items():
-                subset_sizes[tag] = subset_sizes.get(tag, 0) + len(blob)
-            yield from self._route_subsets(
-                logical,
-                result.subsets,
-                store_op="store_run" if config.pipelined else "store",
-                coalesce=config.coalesce,
-            )
-            return []
-
-        with span(
-            self.sim, "cluster.ingest_stream",
-            logical=logical, pipelined=config.pipelined,
-        ):
-            yield from self._ingest_pipeline.run(
-                windows, self._charge_preprocess, dispatch_window
-            )
-        if appending:
-            self._invalidate_derived(logical)
-        return self._receipt(
-            logical, label_map, subset_sizes, raw_total[0],
-            len(trajectory_blob),
-        )
-
-    def _invalidate_derived(self, logical: str) -> None:
-        for tag in self._catalog.get(logical, ()):
-            for name in self._placement.get((logical, tag), ()):
-                cache = self.nodes[name].ada.block_cache
-                if cache is not None:
-                    cache.invalidate(logical=logical, chunk=DERIVED_SUBSET)
-
-    # -- fetch (read) path ---------------------------------------------------------
-
-    def _resolve_tier(
-        self, logical: str, tag: str, precision: str
-    ) -> Tuple[str, str]:
-        """Front-side tier choice: ``(tier, routing tag)``.
-
-        The tier must resolve *before* routing because the ``lod:``
-        sibling hashes to its own ring position -- it may live on a
-        different node than its base subset.  ``"auto"`` folds in the
-        live holders' own pressure signals (cache watermark, fresh fault
-        degradation); the chosen tier is then passed to the node
-        explicitly so front and node never disagree mid-request.
-        """
-        precision = validate_precision(precision)
-        if precision == "full" or is_lod_tag(tag):
-            return "full", tag
-        available = (logical, lod_tag(tag)) in self._placement
-        if precision == "lod":
-            if not available:
-                self._counters["lod_fallback"].inc()
-                return "full", tag
-            return "lod", lod_tag(tag)
-        if available and self._under_pressure(logical, tag):
-            return "lod", lod_tag(tag)
-        return "full", tag
-
-    def _under_pressure(self, logical: str, tag: str) -> bool:
-        """Any live holder of the base subset reporting pressure?"""
-        for name in self._placement.get((logical, tag), ()):
-            node = self.nodes[name]
-            if node.alive and node.ada._under_pressure():
-                return True
-        return False
-
-    def fetch(self, logical: str, tag: str, precision: str = "full") -> Generator:
-        """Process: tag-selective read from the best live holder."""
-        tier, route_tag = self._resolve_tier(logical, tag, precision)
-        if tier == "lod":
-            self._counters["lod_routed"].inc()
-            obj = yield from self._routed(
-                logical, route_tag, "fetch",
-                lambda node: node.ada.fetch(logical, tag, precision="lod"),
-            )
-            return obj
-        obj = yield from self._routed(
-            logical, tag, "fetch",
-            lambda node: node.ada.fetch(logical, tag),
-        )
-        return obj
-
-    def fetch_chunks(
-        self, logical: str, tag: str, chunks, precision: str = "full"
-    ) -> Generator:
-        """Process: windowed chunk read; sticky routing keeps one shard's
-        prefetcher trained on the stream."""
-        chunks = list(chunks)
-        tier, route_tag = self._resolve_tier(logical, tag, precision)
-        if tier == "lod":
-            self._counters["lod_routed"].inc()
-            objs = yield from self._routed(
-                logical, route_tag, "fetch_chunks",
-                lambda node: node.ada.fetch_chunks(
-                    logical, tag, chunks, precision="lod"
-                ),
-            )
-            return objs
-        objs = yield from self._routed(
-            logical, tag, "fetch_chunks",
-            lambda node: node.ada.fetch_chunks(logical, tag, chunks),
-        )
-        return objs
-
-    def fetch_all(self, logical: str, allow_degraded: bool = True) -> Generator:
-        """Process: read every subset; degrade like a single middleware.
-
-        A subset whose every holder is gone degrades (warning + record)
-        when it is expendable -- unreplicated *and* living off the active
-        tier on its shard -- otherwise the failure raises.
-        """
-        tags = self.tags(logical)
-        with span(self.sim, "cluster.fetch_all", logical=logical) as sp:
-            procs = [
-                self.sim.process(
-                    self._guarded_fetch(logical, tag),
-                    name=f"clusterfetch:{logical}#{tag}",
-                )
-                for tag in tags
-            ]
-            results = yield AllOf(self.sim, procs)
-            objs: Dict[str, StoredObject] = {}
-            for tag, result in zip(tags, results):
-                if isinstance(result, FaultError):
-                    if allow_degraded and self._downgradable(logical, tag):
-                        self.degraded.append((logical, tag, str(result)))
-                        self._counters["degraded"].inc()
-                        sp.tag(degraded=True)
-                        warnings.warn(
-                            DegradedReadWarning(
-                                f"{logical}: subset {tag!r} unavailable "
-                                f"cluster-wide, loading without it ({result})"
-                            ),
-                            stacklevel=2,
-                        )
-                        continue
-                    raise result
-                objs[tag] = result
-            return objs
-
-    def _guarded_fetch(self, logical: str, tag: str) -> Generator:
-        try:
-            obj = yield from self.fetch(logical, tag)
-        except FaultError as exc:
-            return exc
-        return obj
+    def _stored_tags(self, logical: str) -> List[str]:
+        if logical not in self._catalog:
+            raise LabelIndexError(f"unknown dataset {logical!r}")
+        return self._catalog[logical]
 
     def _downgradable(self, logical: str, tag: str) -> bool:
         """Expendable = unreplicated (the cluster analog of 'inactive').
@@ -918,111 +679,55 @@ class ShardedADA:
         """
         return tag not in self.replicated_tags
 
-    def fetch_merged(self, logical: str, precision: str = "full") -> Generator:
-        """Process: scatter-gather -- each tag reads from its own shard,
-        frames reassemble at the front."""
-        precision = validate_precision(precision)
-        tags = self.tags(logical)
-        tier = "full"
-        if precision != "full":
-            # The merged read degrades only as a whole: every base subset
-            # needs a sibling, or frame counts would disagree mid-merge.
-            available = all(
-                (logical, lod_tag(t)) in self._placement for t in tags
-            )
-            if precision == "lod":
-                if available:
-                    tier = "lod"
-                else:
-                    self._counters["lod_fallback"].inc()
-            elif available and any(
-                self._under_pressure(logical, t) for t in tags
-            ):
-                tier = "lod"
-        read_tags = [lod_tag(t) if tier == "lod" else t for t in tags]
-        if tier == "lod":
-            self._counters["lod_routed"].inc()
-        with span(
-            self.sim, "cluster.fetch_merged", logical=logical, tier=tier
-        ):
-            procs = [
-                self.sim.process(
-                    self._routed(
-                        logical, read_tag, "fetch_merged",
-                        lambda node, t=read_tag: node.ada.determinator
-                        .retriever.retrieve_chunks(logical, t),
-                    ),
-                    name=f"clustermerge:{logical}#{read_tag}",
-                )
-                for read_tag in read_tags
-            ]
-            results = yield AllOf(self.sim, procs)
-        merged = merge_decoded_subsets(
-            logical,
-            self.label_map(logical),
-            dict(zip(tags, results)),
-            self.preprocessor.decompressor.decompress,
-        )
-        # merge_decoded_subsets yields a plain Trajectory; the tier verdict
-        # rides along as attributes (mirrors StoredObject.tier/max_error).
-        merged.tier = tier
-        merged.max_error = (
-            lod_max_error(self.preprocessor.lod_precision)
-            if tier == "lod"
-            else None
-        )
-        return merged
-
-    # -- metadata --------------------------------------------------------------------
-
-    def label_map(self, logical: str) -> LabelMap:
-        if logical not in self._label_maps:
-            raise LabelIndexError(f"no label map for {logical!r}")
-        return self._label_maps[logical]
-
-    def tags(self, logical: str) -> List[str]:
-        if logical not in self._catalog:
-            raise LabelIndexError(f"unknown dataset {logical!r}")
-        return base_tags(self._catalog[logical])
-
-    def all_tags(self, logical: str) -> List[str]:
-        """Every catalogued tag, the LOD family included."""
-        if logical not in self._catalog:
-            raise LabelIndexError(f"unknown dataset {logical!r}")
-        return list(self._catalog[logical])
-
-    def has_lod(self, logical: str, tag: Optional[str] = None) -> bool:
-        """Mirror of :meth:`ADA.has_lod` against the cluster catalog."""
-        if logical not in self._catalog:
-            return False
-        if tag is not None:
-            return (logical, lod_tag(tag)) in self._placement
-        bases = self.tags(logical)
-        return bool(bases) and all(
-            (logical, lod_tag(t)) in self._placement for t in bases
+    def _under_pressure(self, logical: str, tag: Optional[str]) -> bool:
+        """Any live holder of the base subset (with no tag: of any base
+        subset) reporting its own pressure?"""
+        tags = [tag] if tag is not None else self.tags(logical)
+        return any(
+            self.nodes[name].alive
+            and self.nodes[name].ada._under_pressure(logical, t)
+            for t in tags
+            for name in self._placement.get((logical, t), ())
         )
 
-    def subset_nbytes(self, logical: str, tag: str) -> int:
-        return self._any_holder(logical, tag).ada.subset_nbytes(logical, tag)
+    def _persist_label(self, logical: str, label_map: LabelMap) -> Generator:
+        """Label maps live in front memory only."""
+        yield from ()
 
-    def container_nbytes(self, logical: str) -> int:
-        # Stored volume counts every representation, LOD siblings included.
-        return sum(
-            self.subset_nbytes(logical, tag) for tag in self.all_tags(logical)
-        )
+    def _load_label(self, logical: str) -> LabelMap:
+        raise LabelIndexError(f"no label map for {logical!r}")
 
-    def remove(self, logical: str) -> int:
-        """Delete a dataset from every holder; returns freed bytes."""
+    def _lookup_all(self, logical: str) -> Generator:
+        """The front holds no container index: ``fetch_all`` has each
+        holder look its own tag up, and the merged read pays none."""
+        yield from ()
+        return False
+
+    @property
+    def storage_cpus(self):
+        """Pre-processing and fused analysis are charged on the first
+        node's storage CPUs (a no-op for CPU-less deployments)."""
+        return next(iter(self.nodes.values())).ada.storage_cpus
+
+    def _caches(self, logical: str) -> list:
+        names = {
+            name
+            for tag in self._catalog.get(logical, ())
+            for name in self._placement.get((logical, tag), ())
+        }
+        caches = (self.nodes[name].ada.block_cache for name in sorted(names))
+        return [cache for cache in caches if cache is not None]
+
+    def _drop(self, logical: str) -> int:
+        """Delete every tag from every holder; forget its placement."""
         freed = 0
-        for tag in self._catalog.get(logical, []):
+        for tag in self._catalog.pop(logical, []):
             for name in self._placement.pop((logical, tag), []):
-                node = self.nodes[name]
-                freed += node.ada.plfs.delete_subset(logical, tag)
-                if node.ada.block_cache is not None:
-                    node.ada.block_cache.invalidate(logical=logical)
-        self._catalog.pop(logical, None)
-        self._label_maps.pop(logical, None)
+                freed += self.nodes[name].ada.plfs.delete_subset(logical, tag)
         return freed
+
+    def _location(self, logical: str, tag: str) -> str:
+        return ",".join(self._placement.get((logical, tag), []))
 
     # -- rebalancing -------------------------------------------------------------
 
@@ -1143,6 +848,7 @@ class ShardedADA:
         }
 
     def stats(self) -> Dict[str, object]:
+        lod = self.lod_stats()
         return {
             "nodes": self.node_loads(),
             "replicas": self.replicas,
@@ -1153,39 +859,12 @@ class ShardedADA:
             "keys_moved": int(self._counters["keys_moved"].value),
             "bytes_moved": int(self._counters["bytes_moved"].value),
             "degraded_reads": len(self.degraded),
-            "lod_routed": int(self._counters["lod_routed"].value),
-            "lod_fallback": int(self._counters["lod_fallback"].value),
+            "lod_routed": lod["served"],
+            "lod_fallback": lod["fallback"],
             "prefetch": self.prefetcher.stats(),
         }
 
     def fault_counters(self) -> Dict[str, object]:
-        counters: Dict[str, object] = {
-            "retry": self.retry_stats.as_dict(),
-            "degraded_reads": len(self.degraded),
-            "degraded": list(self.degraded),
-            "failovers": int(self._counters["failovers"].value),
-        }
-        if self.fault_plan is not None:
-            counters["injected"] = self.fault_plan.snapshot()
-            counters["injected_total"] = self.fault_plan.total()
+        counters = super().fault_counters()
+        counters["failovers"] = int(self._counters["failovers"].value)
         return counters
-
-    def _receipt(
-        self,
-        logical: str,
-        label_map: LabelMap,
-        subset_sizes: Dict[str, int],
-        raw_nbytes: int,
-        compressed_nbytes: int,
-    ) -> IngestReceipt:
-        return IngestReceipt(
-            logical=logical,
-            label_map=label_map,
-            subset_sizes=subset_sizes,
-            backends={
-                tag: ",".join(self._placement.get((logical, tag), []))
-                for tag in subset_sizes
-            },
-            raw_nbytes=raw_nbytes,
-            compressed_nbytes=compressed_nbytes,
-        )
