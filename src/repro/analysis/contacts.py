@@ -2,16 +2,19 @@
 
 Contact maps and native-contact fractions are the observables GPCR papers
 actually report (the CB1 activation studies the paper's datasets come
-from track helix-helix contacts).  Distance computation is blocked so
-memory stays bounded on large selections.
+from track helix-helix contacts).  One kernel, :func:`_contact_pairs`,
+serves every entry point: it visits each unordered atom pair once, in row
+blocks whose size is bounded by :data:`_BATCH_ELEMENTS`, so memory stays
+bounded on large selections.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis._soa import planes
 from repro.errors import TopologyError
 from repro.formats.trajectory import Trajectory
 
@@ -22,27 +25,58 @@ __all__ = [
     "native_contact_fraction",
 ]
 
-_BLOCK = 512
-
-#: Element budget for the (nframes, block, natoms) distance tensor of the
-#: batched frame path -- keeps transient memory in the same ballpark as
-#: the single-frame path's (512, natoms) blocks.
+#: Element budget for one block of atom pairs across all frames: each
+#: block's float64 distance tensors hold at most this many elements.
 _BATCH_ELEMENTS = 2 * 1024 * 1024
 
 
-def _pairwise_within(coords: np.ndarray, cutoff: float) -> np.ndarray:
-    """Boolean (N, N) contact matrix, diagonal False, blocked in rows."""
-    n = coords.shape[0]
-    out = np.zeros((n, n), dtype=bool)
+def _pair_delta(
+    plane: np.ndarray, start: int, runs: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """``plane[:, i] - plane[:, j]`` over a block's pairs; the ``i`` side
+    is a run of each row repeated once per partner."""
+    delta = np.repeat(plane[:, start:start + runs.size], runs, axis=1)
+    delta -= plane[:, j]
+    return delta
+
+
+def _contact_pairs(
+    stack: np.ndarray, cutoff: float
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Row-blocked upper-triangle contacts of an ``(F, N, 3)`` stack.
+
+    Yields ``(i, j, mask)`` per block of atom pairs with ``i < j``:
+    ``mask[f, p]`` is True when atoms ``i[p]`` and ``j[p]`` are within
+    ``cutoff`` in frame ``f``.  Squared distances come from float64 x, y
+    and z planes as ``(dx*dx + dy*dy) + dz*dz``, bit-identical to the
+    xyz-interleaved ``(delta**2).sum(axis=-1)``, and are symmetric in the
+    pair, so the upper triangle decides the whole contact matrix.  Rows
+    are blocked so ``F * pairs`` stays within :data:`_BATCH_ELEMENTS`.
+    """
+    x, y, z = planes(stack)
+    nframes, natoms = x.shape
     c2 = cutoff * cutoff
-    pts = coords.astype(np.float64)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        delta = pts[start:stop, None, :] - pts[None, :, :]
-        d2 = (delta**2).sum(axis=2)
-        out[start:stop] = d2 < c2
-    np.fill_diagonal(out, False)
-    return out
+    start = 0
+    while start < natoms - 1:
+        width = natoms - 1 - start
+        budget_rows = _BATCH_ELEMENTS // (max(1, nframes) * width)
+        rows = max(1, min(width, budget_rows))
+        # Row start + r pairs with columns start + 1 + c for every c >= r.
+        i, j = np.nonzero(~np.tri(rows, width, -1, dtype=bool))
+        i += start
+        j += start + 1
+        runs = np.arange(width, width - rows, -1)
+        d2 = _pair_delta(x, start, runs, j)
+        d2 *= d2
+        for plane in (y, z):
+            part = _pair_delta(plane, start, runs, j)
+            part *= part
+            d2 += part
+            # Freed before the next plane's delta and gather are built, so
+            # a block never holds more than three pair tensors at once.
+            del part
+        yield i, j, d2 < c2
+        start += rows
 
 
 def contact_map(
@@ -58,7 +92,11 @@ def contact_map(
         raise TopologyError("cutoff must be positive")
     if selection is not None:
         coords = coords[np.asarray(selection)]
-    return _pairwise_within(coords, cutoff)
+    n = coords.shape[0]
+    upper = np.zeros((n, n), dtype=bool)
+    for i, j, mask in _contact_pairs(coords[None], cutoff):
+        upper[i[mask[0]], j[mask[0]]] = True
+    return upper | upper.T
 
 
 def frame_contact_counts(
@@ -71,35 +109,26 @@ def frame_contact_counts(
     Returns ``(counts, overlap)``: ``counts[i]`` is frame *i*'s full
     (both-orders) contact-matrix sum -- halve it for unordered pairs --
     and, when a boolean ``native`` map is given, ``overlap[i]`` is the
-    count of native contacts present in frame *i*.  The frame loop is
-    batched (all frames share one row-blocked distance pass) but every
-    element goes through the same float64 subtract/square/sum/compare as
-    the single-frame :func:`contact_map`, so the results are bit-identical
-    to the per-frame loop they replaced.
+    count of native contacts present in frame *i*.  All frames share one
+    row-blocked pass over the upper triangle; each pair counts once per
+    order, and ``native[i, j]`` and ``native[j, i]`` are read separately,
+    so a non-symmetric ``native`` is counted exactly as the full matrix
+    would count it.
     """
     stack = np.asarray(coords)
     if stack.ndim != 3 or stack.shape[2] != 3:
         raise TopologyError(f"frame stack shape {stack.shape} invalid")
     if cutoff <= 0:
         raise TopologyError("cutoff must be positive")
-    nframes, natoms = stack.shape[0], stack.shape[1]
-    c2 = cutoff * cutoff
-    pts = stack.astype(np.float64)
+    nframes = stack.shape[0]
     counts = np.zeros(nframes, dtype=np.int64)
     overlap = np.zeros(nframes, dtype=np.int64) if native is not None else None
-    # Row-block so the (F, block, N) distance tensor stays within the
-    # element budget (matching the single-frame path's bounded memory).
-    block = max(1, min(_BLOCK, _BATCH_ELEMENTS // max(1, nframes * natoms)))
-    for start in range(0, natoms, block):
-        stop = min(start + block, natoms)
-        delta = pts[:, start:stop, None, :] - pts[:, None, :, :]
-        d2 = (delta**2).sum(axis=3)
-        mask = d2 < c2
-        mask[:, np.arange(stop - start), np.arange(start, stop)] = False
-        counts += mask.sum(axis=(1, 2))
+    for i, j, mask in _contact_pairs(stack, cutoff):
+        counts += mask.sum(axis=1)
         if native is not None:
-            overlap += (mask & native[start:stop]).sum(axis=(1, 2))
-    return counts, overlap
+            overlap += (mask & native[i, j]).sum(axis=1)
+            overlap += (mask & native[j, i]).sum(axis=1)
+    return 2 * counts, overlap
 
 
 def contact_count(

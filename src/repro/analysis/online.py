@@ -25,9 +25,12 @@ is dispatched:
 Equivalence contract (verified by ``tests/analysis/test_online_equivalence.py``
 over random window splits):
 
-* RMSD, contacts, and the frame observables are **exact**: every frame's
-  value is computed by the same float operations as the batch operator,
-  so online-vs-batch equality is bit-for-bit at any window split.
+* RMSD, contacts, and the frame observables are **exact**: each slab
+  runs the batch operator's own kernel (one stacked Kabsch pass, one
+  contact pass, one observables pass), and those kernels compute every
+  frame independently, so online-vs-batch equality is bit-for-bit at any
+  window split.  A 0-frame slab returns empty series and leaves every
+  operator's state untouched, even before the reference frame exists.
 * :class:`OnlineStats` matches the batch mean/variance and
   :func:`repro.analysis.timeseries.block_average` rows to within
   :data:`STATS_RTOL` / :data:`STATS_ATOL`: the streaming form accumulates
@@ -51,7 +54,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.contacts import contact_map, frame_contact_counts
-from repro.analysis.rmsd import rmsd
+from repro.analysis.observables import frame_observables
+from repro.analysis.rmsd import rmsd_frames
 from repro.analysis.timeseries import BlockResult
 from repro.errors import ConfigurationError, TopologyError
 
@@ -101,11 +105,11 @@ class OnlineRMSD:
 
     def update(self, coords: np.ndarray) -> Dict[str, np.ndarray]:
         slab = _as_slab(coords)
-        if self._reference is None and slab.shape[0] > 0:
+        if slab.shape[0] == 0:
+            return {"rmsd": np.empty(0)}
+        if self._reference is None:
             self._reference = slab[0].astype(np.float64)
-        fresh = np.array(
-            [rmsd(frame, self._reference, align=self.align) for frame in slab]
-        )
+        fresh = rmsd_frames(slab, self._reference, align=self.align)
         self._values.extend(fresh.tolist())
         return {"rmsd": fresh}
 
@@ -156,7 +160,12 @@ class OnlineContacts:
 
     def update(self, coords: np.ndarray) -> Dict[str, np.ndarray]:
         slab = _as_slab(coords)
-        if self._native is None and slab.shape[0] > 0:
+        if slab.shape[0] == 0:
+            return {
+                "contacts": np.empty(0, dtype=np.int64),
+                "native_fraction": np.empty(0),
+            }
+        if self._native is None:
             self._set_reference(slab[0])
         sel = slab
         if self.selection is not None:
@@ -177,58 +186,45 @@ class OnlineContacts:
         }
 
 
+_OBSERVABLES = ("center_of_mass", "gyration_radius", "end_to_end", "msd")
+
+
+def _concat(name: str, parts: List[np.ndarray]) -> np.ndarray:
+    if parts:
+        return np.concatenate(parts)
+    return np.empty((0, 3) if name == "center_of_mass" else (0,))
+
+
 class OnlineObservables:
     """Center of mass, gyration radius, end-to-end distance, MSD vs. frame 0.
 
     All four are per-frame maps given frame 0, so the online forms are
-    exact: each slab computes the identical vectorized expressions the
-    batch operators apply to the whole stack.
+    exact: each slab runs :func:`repro.analysis.observables.frame_observables`,
+    the formulas the batch operators apply to the whole stack.
     """
 
     def __init__(self) -> None:
         self._frame0: Optional[np.ndarray] = None
-        self._com: List[np.ndarray] = []
-        self._gyr: List[np.ndarray] = []
-        self._e2e: List[np.ndarray] = []
-        self._msd: List[np.ndarray] = []
+        self._parts: Dict[str, List[np.ndarray]] = {
+            name: [] for name in _OBSERVABLES
+        }
 
     def update(self, coords: np.ndarray) -> Dict[str, np.ndarray]:
         slab = _as_slab(coords)
         if slab.shape[1] < 2:
             raise TopologyError("end-to-end distance needs at least two atoms")
-        if self._frame0 is None and slab.shape[0] > 0:
-            self._frame0 = slab[0].astype(np.float64)
-        com = slab.mean(axis=1)
-        pts = slab.astype(np.float64)
-        centered = pts - pts.mean(axis=1, keepdims=True)
-        gyr = np.sqrt((centered**2).sum(axis=2).mean(axis=1))
-        e2e = np.linalg.norm(
-            (slab[:, -1, :] - slab[:, 0, :]).astype(np.float64), axis=1
-        )
-        msd = ((pts - self._frame0) ** 2).sum(axis=2).mean(axis=1)
-        self._com.append(com)
-        self._gyr.append(gyr)
-        self._e2e.append(e2e)
-        self._msd.append(msd)
-        return {
-            "center_of_mass": com,
-            "gyration_radius": gyr,
-            "end_to_end": e2e,
-            "msd": msd,
-        }
+        if slab.shape[0] == 0:
+            return {name: _concat(name, []) for name in _OBSERVABLES}
+        if self._frame0 is None:
+            self._frame0 = np.ascontiguousarray(slab[0].T, dtype=np.float64)
+        fresh = frame_observables(slab, self._frame0)
+        for name, values in fresh.items():
+            self._parts[name].append(values)
+        return fresh
 
     def result(self) -> Dict[str, np.ndarray]:
-        def cat(parts: List[np.ndarray], width: int = 0) -> np.ndarray:
-            if not parts:
-                shape = (0, 3) if width else (0,)
-                return np.empty(shape)
-            return np.concatenate(parts)
-
         return {
-            "center_of_mass": cat(self._com, width=3),
-            "gyration_radius": cat(self._gyr),
-            "end_to_end": cat(self._e2e),
-            "msd": cat(self._msd),
+            name: _concat(name, parts) for name, parts in self._parts.items()
         }
 
 

@@ -4,22 +4,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.align import superpose
+from repro.analysis._soa import sq_norm3
+from repro.analysis.align import superpose_frames
 from repro.errors import TopologyError
 from repro.formats.trajectory import Trajectory
 
-__all__ = ["rmsd", "rmsd_trajectory", "rmsf", "pairwise_rmsd"]
+__all__ = ["rmsd", "rmsd_frames", "rmsd_trajectory", "rmsf", "pairwise_rmsd"]
+
+
+def rmsd_frames(
+    frames: np.ndarray, reference: np.ndarray, align: bool = True
+) -> np.ndarray:
+    """Per-frame RMSD of an ``(F, N, 3)`` stack against one reference.
+
+    The batched kernel behind every RMSD entry point: one stacked Kabsch
+    pass when ``align``, else one float64 difference pass.
+    """
+    if align:
+        return superpose_frames(frames, reference)[1]
+    frames, reference = np.asarray(frames), np.asarray(reference)
+    if frames.shape[1:] != reference.shape or reference.shape[-1:] != (3,):
+        raise TopologyError(
+            f"shape mismatch {frames.shape[1:]} vs {reference.shape}"
+        )
+    delta = frames.astype(np.float64) - reference.astype(np.float64)
+    return np.sqrt(sq_norm3(*np.moveaxis(delta, -1, 0)).mean(axis=-1))
 
 
 def rmsd(a: np.ndarray, b: np.ndarray, align: bool = True) -> float:
     """RMSD between two conformations (optionally after superposition)."""
-    if align:
-        _, value = superpose(a, b)
-        return value
-    if a.shape != b.shape:
-        raise TopologyError(f"shape mismatch {a.shape} vs {b.shape}")
-    delta = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return float(np.sqrt((delta**2).sum(axis=1).mean()))
+    return float(rmsd_frames(np.asarray(a)[None], b, align=align)[0])
 
 
 def rmsd_trajectory(
@@ -29,10 +43,7 @@ def rmsd_trajectory(
     if not 0 <= reference_frame < trajectory.nframes:
         raise TopologyError(f"reference frame {reference_frame} out of range")
     reference = trajectory.coords[reference_frame].astype(np.float64)
-    return np.array(
-        [rmsd(trajectory.coords[i], reference, align=align)
-         for i in range(trajectory.nframes)]
-    )
+    return rmsd_frames(trajectory.coords, reference, align=align)
 
 
 def rmsf(trajectory: Trajectory) -> np.ndarray:
@@ -48,15 +59,12 @@ def rmsf(trajectory: Trajectory) -> np.ndarray:
 def pairwise_rmsd(trajectory: Trajectory, align: bool = False) -> np.ndarray:
     """Frame-by-frame RMSD matrix (the clustering input of MD studies).
 
-    The unaligned case is vectorized over all pairs via broadcasting.
+    One batched kernel call per reference column ``j``: frames ``[0, j)``
+    against frame ``j``, mirrored into the lower triangle.
     """
     coords = trajectory.coords.astype(np.float64)
-    if not align:
-        diff = coords[:, None, :, :] - coords[None, :, :, :]
-        return np.sqrt((diff**2).sum(axis=3).mean(axis=2))
     n = trajectory.nframes
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = rmsd(coords[i], coords[j], align=True)
+    for j in range(1, n):
+        out[:j, j] = out[j, :j] = rmsd_frames(coords[:j], coords[j], align)
     return out
