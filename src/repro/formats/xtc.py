@@ -25,16 +25,24 @@ and what the "D-" scenarios of the paper load.
 
 Performance model (the materialized-mode hot path):
 
-* the bit-packing kernels are **word-oriented**: values are shifted/OR-ed
-  into 64-bit lanes in one numpy pass per equal-width run of blocks, not
-  expanded into a per-bit matrix;
-* the delta/zigzag/quantize stages run as **whole-GOF batch operations**:
-  encode quantizes a GOF's frames in one pass and takes every P-frame's
-  temporal deltas with a single ``np.diff`` along the frame axis; decode
-  collects all delta rows of a GOF into one int64 matrix, reconstructs
-  with a single axis-0 ``np.cumsum``, and converts kept frames with one
-  reciprocal multiply -- so per-frame Python overhead disappears and each
-  task spends its time inside GIL-releasing C loops;
+* the bit-packing kernels are **word-oriented** and **row-batched**: they
+  take a ``(rows, count)`` matrix, one row per frame, and pack/unpack
+  fixed-width fields with whole-matrix shift/OR passes over 64-bit
+  words, never a per-bit matrix (:func:`_pack_rows`,
+  :func:`_unpack_rows`);
+* every stage of a group of frames (GOF) runs as **whole-GOF batch
+  operations**: encode quantizes the GOF in one pass, takes every
+  P-frame's temporal deltas with one ``np.diff`` along the frame axis,
+  zigzags them in one pass, finds every frame's per-block widths with one
+  reduction and packs each ``(block, width)`` group of frames with one
+  kernel call; decode checks every frame in stream order, unpacks each
+  ``(block, width)`` group straight into one int64 matrix, un-zigzags it
+  in one pass, reconstructs with prefix sums and converts kept frames
+  with one reciprocal multiply.  The numpy passes are paid per distinct
+  width, not per frame; per frame only the header, ``zlib`` and the
+  stored-or-deflated choice remain.  Deflate is kept for most frames of
+  real data (every P-frame of a coarse LOD chunk, about 4 in 5 at full
+  precision), so inflate is the largest single decode cost;
 * keyframes every ``keyframe_interval`` partition a stream into
   independently codable **groups of frames** (GOFs); ``encode_xtc`` /
   ``decode_xtc`` accept ``workers=N`` and fan GOFs out to a worker pool
@@ -51,6 +59,7 @@ Performance model (the materialized-mode hot path):
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -110,9 +119,9 @@ _HEADER = struct.Struct("<iii f 9f f iI")
 _MIN_PRECISION = 2.0**31 / float(np.finfo(np.float32).max)
 _FLAG_PFRAME = 1
 # Flag bit 1 set => the payload body is *stored* (not deflated).  Bit-packed
-# deltas are already near the entropy floor, so deflate often buys only a few
-# percent while dominating decode time; the encoder keeps deflate only when it
-# shrinks the body by at least 1/16 (real xdr3dfcoord likewise skips its
+# thermal-noise deltas can sit near the entropy floor, where deflate buys only
+# a few percent at the cost of an inflate; the encoder keeps deflate only when
+# it shrinks the body by at least 1/16 (real xdr3dfcoord likewise skips its
 # entropy stage when packing alone suffices).
 _FLAG_STORED = 2
 
@@ -127,6 +136,9 @@ _PAYLOAD_HEAD = struct.Struct("<HI")
 # coordinates instead of a typed error.
 _STORED_CRC = struct.Struct("<I")
 _BLOCK_VALUES = 8192
+#: Bytes :func:`_unpack_rows` may read past the last packed stream: one
+#: 64-bit word from a field's first byte, plus a ninth byte.
+_UNPACK_SLACK = 16
 _RAW_HEADER = struct.Struct("<iiqif")  # magic, natoms, nframes, reserved, dt
 
 
@@ -208,9 +220,9 @@ def _lane_geometry(nbits: int, count: int) -> "tuple[int, int, int]":
     bits, i.e. every ``L = 8 / gcd(nbits, 8)`` values.  Returns
     ``(L, period_bytes, nperiods)``: the packed stream is ``nperiods``
     repetitions of a ``period_bytes``-byte pattern, and lane ``j`` of every
-    period starts at the same scalar ``(byte, bit)`` offset -- which is what
-    lets pack/unpack run as a handful of strided column ops per lane instead
-    of per-value (or per-bit) work.
+    period starts at the same bit offset -- which is what lets pack/unpack
+    run as a handful of whole-matrix ops per lane instead of per-value (or
+    per-bit) work.
     """
     lanes = 8 // math.gcd(nbits, 8)
     period_bytes = nbits * lanes // 8
@@ -218,429 +230,332 @@ def _lane_geometry(nbits: int, count: int) -> "tuple[int, int, int]":
     return lanes, period_bytes, nperiods
 
 
+def _pack_rows(values: np.ndarray, nbits: int) -> np.ndarray:
+    """Pack each row of a ``(rows, count)`` uint64 matrix into a dense
+    ``nbits``-wide big-endian bitstream; returns ``(rows, nbytes)`` uint8.
+
+    Every value must already fit ``nbits`` bits.  Period-word kernel: a
+    period is left-justified in ``ceil(period_bytes / 8)`` u64 words, lane
+    ``j`` holding bits ``[j * nbits, (j + 1) * nbits)`` from the top of
+    word 0.  Lane ``j`` of every period in every row is shifted into place
+    and OR-ed into its word with one whole-matrix op (two when the field
+    spans a word boundary; a field of at most 64 bits never spans three),
+    then the words are byte-swapped once and the first ``period_bytes`` of
+    each period kept.  A group of frames packs all rows of one width in a
+    single pass -- the cost is per distinct width, not per frame.
+    """
+    nrows, count = values.shape
+    nbytes = (count * nbits + 7) // 8
+    if nbytes == 0:
+        return np.zeros((nrows, 0), dtype=np.uint8)
+    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
+    nwords = (period_bytes + 7) // 8
+    words = np.zeros((nwords, nrows, nperiods), dtype=np.uint64)
+    for j in range(lanes):
+        k, offset = divmod(j * nbits, 64)
+        lane = values[:, j::lanes]  # a short last period leaves lanes empty
+        n = lane.shape[1]
+        spill = offset + nbits - 64
+        if spill > 0:
+            words[k, :, :n] |= lane >> np.uint64(spill)
+            words[k + 1, :, :n] |= lane << np.uint64(64 - spill)
+        else:
+            words[k, :, :n] |= lane << np.uint64(-spill)
+    packed = words.transpose(1, 2, 0).astype(">u8", order="C").view(np.uint8)
+    packed = packed.reshape(nrows, nperiods, nwords * 8)[:, :, :period_bytes]
+    return packed.reshape(nrows, nperiods * period_bytes)[:, :nbytes]
+
+
+@functools.lru_cache(maxsize=32)
+def _field_shifts(
+    nbits: int, count: int
+) -> "tuple[Optional[np.ndarray], np.ndarray]":
+    """Where :func:`_unpack_rows` reads each of ``count`` fields from.
+
+    Returns ``(first_byte, shift)``: field ``i`` is the top ``nbits`` bits
+    of the big-endian u64 read at byte ``first_byte[i]``, after a left
+    shift by ``shift[i]``.  When a lane period fits one word,
+    ``first_byte`` is ``None``: the word is the period's own, read at the
+    period start, and the shift is the lane's bit offset in it.  Both
+    arrays are cached and read-only.
+    """
+    _, period_bytes, _ = _lane_geometry(nbits, count)
+    first = np.arange(count, dtype=np.int64) * nbits
+    if period_bytes <= 8:
+        byte, shift = None, first % (8 * period_bytes)
+    else:
+        byte, shift = first >> 3, first & 7
+        byte.flags.writeable = False
+    shift = shift.astype(np.uint64)
+    shift.flags.writeable = False
+    return byte, shift
+
+
+def _unpack_rows(
+    src: np.ndarray,
+    nrows: int,
+    count: int,
+    nbits: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Inverse of :func:`_pack_rows`: unpack ``nrows`` bitstreams of
+    ``count`` fields, stored back to back in the uint8 array ``src``, into
+    ``out`` (``(nrows, count)`` uint64, allocated when not given).
+
+    Every value, in value order, is read as a big-endian u64 holding its
+    field, then cut out with a left shift (dropping the bits above it) and
+    a right shift written straight into ``out``.  When a lane period fits
+    one word, one strided view reads each period's word once per lane; for
+    longer periods a gather reads the 8 bytes starting at each field's
+    first byte (plus a ninth byte for the few fields wider than 57 bits
+    that spill past it).  Reads run up to ``_UNPACK_SLACK`` bytes past the
+    last stream, into the next stream or padding, and land only in bits
+    the shifts drop; ``src`` is copied with zero padding when it is
+    shorter.  Working in value order keeps every pass contiguous, where
+    interleaving per-lane results would cost a strided pass per lane.
+    """
+    if out is None:
+        out = np.empty((nrows, count), dtype=np.uint64)
+    if nbits == 0 or count == 0:
+        out[...] = 0
+        return out
+    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
+    nbytes = (count * nbits + 7) // 8
+    if src.size < nrows * nbytes + _UNPACK_SLACK:
+        padded = np.zeros(nrows * nbytes + _UNPACK_SLACK, dtype=np.uint8)
+        padded[: nrows * nbytes] = src[: nrows * nbytes]
+        src = padded
+    byte, shift = _field_shifts(nbits, count)
+    if byte is None:
+        field = np.ndarray(
+            (nrows, nperiods, lanes), dtype=">u8", buffer=src,
+            strides=(nbytes, period_bytes, 0),
+        ).astype(np.uint64).reshape(nrows, nperiods * lanes)[:, :count]
+    else:
+        windows = np.ndarray(
+            (nrows, nbytes), dtype=">u8", buffer=src, strides=(nbytes, 1)
+        )
+        # ``take`` keeps the gather in row-major order (fancy indexing
+        # would lay the result out column-major and slow every later pass).
+        field = np.take(windows, byte, axis=1).astype(np.uint64)
+    np.left_shift(field, shift, out=field)
+    if nbits > 57 and byte is not None:
+        ninth = np.ndarray(
+            (nrows, nbytes), dtype=np.uint8, buffer=src,
+            offset=8, strides=(nbytes, 1),
+        )
+        field |= np.take(ninth, byte, axis=1).astype(np.uint64) >> (
+            np.uint64(8) - shift
+        )
+    np.right_shift(field, np.uint64(64 - nbits), out=out)
+    return out
+
+
 def _pack_words(values_u: np.ndarray, nbits: int) -> bytes:
     """Pack unsigned values into a dense ``nbits``-wide big-endian bitstream.
 
     This is the moral equivalent of xdr3dfcoord's fixed-width "smallidx"
-    packing: the per-frame word width adapts to the largest delta.
-
-    Word-oriented: values are reshaped into bit-phase periods (see
-    :func:`_lane_geometry`); each of the <= 8 lanes shifts its values once
-    and ORs the resulting bytes into strided output columns, so the whole
-    block is packed in a constant number of vectorized passes -- no
-    ``count x nbits`` bit-matrix expansion.
+    packing: the per-block word width adapts to the largest delta.  The
+    one-row case of :func:`_pack_rows`; bits above ``nbits`` are dropped.
     """
     count = int(values_u.size)
     if nbits == 0 or count == 0:
         return b""
     if not 0 < nbits <= 64:
         raise CodecError(f"word width {nbits} outside [0, 64]")
-    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
-    values = np.zeros(nperiods * lanes, dtype=np.uint64)
-    values[:count] = values_u
+    values = np.asarray(values_u, dtype=np.uint64).reshape(1, count)
     if nbits < 64:
-        values &= np.uint64((1 << nbits) - 1)
-    values = values.reshape(nperiods, lanes)
-    out = np.zeros(nperiods * period_bytes + 16, dtype=np.uint8)
-    stop = (nperiods - 1) * period_bytes + 1
-    for j in range(lanes):
-        offset = j * nbits
-        byte0, phase = offset >> 3, offset & 7
-        span = (phase + nbits + 7) // 8  # bytes this lane's field touches
-        lane_vals = values[:, j]
-        if span <= 8:
-            # Field fits one 64-bit accumulator: position it, emit bytes.
-            field = lane_vals << np.uint64(span * 8 - phase - nbits)
-            for k in range(span):
-                shift = np.uint64(8 * (span - 1 - k))
-                out[byte0 + k : byte0 + k + stop : period_bytes] |= (
-                    (field >> shift) & np.uint64(0xFF)
-                ).astype(np.uint8)
-        else:
-            # 9-byte span (nbits > 57 at odd phase): top 8 bytes hold the
-            # field minus ``spill`` low bits, which land in the ninth byte.
-            spill = phase + nbits - 64
-            head = lane_vals >> np.uint64(spill)
-            for k in range(8):
-                shift = np.uint64(8 * (7 - k))
-                out[byte0 + k : byte0 + k + stop : period_bytes] |= (
-                    (head >> shift) & np.uint64(0xFF)
-                ).astype(np.uint8)
-            tail = (lane_vals << np.uint64(8 - spill)) & np.uint64(0xFF)
-            out[byte0 + 8 : byte0 + 8 + stop : period_bytes] |= tail.astype(
-                np.uint8
-            )
-    return out.tobytes()[: (count * nbits + 7) // 8]
-
-
-def _unpack_lanes(
-    buf: np.ndarray, count: int, nbits: int, out: np.ndarray
-) -> None:
-    """Unpack ``count`` fields from padded byte array ``buf`` into ``out``.
-
-    ``buf`` must extend at least ``period_bytes + 9`` bytes past the last
-    packed byte (zero padding); ``out`` is a ``count``-long uint64 slice.
-    """
-    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
-    mask = np.uint64((1 << nbits) - 1) if nbits < 64 else np.uint64(2**64 - 1)
-    stop = (nperiods - 1) * period_bytes + 1
-    grid = np.empty((nperiods, lanes), dtype=np.uint64)
-    for j in range(lanes):
-        offset = j * nbits
-        byte0, phase = offset >> 3, offset & 7
-        span = (phase + nbits + 7) // 8
-        if span <= 8:
-            acc = buf[byte0 : byte0 + stop : period_bytes].astype(np.uint64)
-            for k in range(1, span):
-                np.left_shift(acc, np.uint64(8), out=acc)
-                np.bitwise_or(
-                    acc,
-                    buf[byte0 + k : byte0 + k + stop : period_bytes],
-                    out=acc,
-                )
-            np.right_shift(acc, np.uint64(span * 8 - phase - nbits), out=acc)
-            np.bitwise_and(acc, mask, out=acc)
-            grid[:, j] = acc
-        else:
-            # 9-byte span: accumulate 8 bytes (the field minus its low
-            # ``spill`` bits), then OR in the ninth byte's top bits.
-            spill = phase + nbits - 64
-            acc = (
-                buf[byte0 : byte0 + stop : period_bytes] & np.uint8(0xFF >> phase)
-            ).astype(np.uint64)
-            for k in range(1, 8):
-                acc = (acc << np.uint64(8)) | buf[
-                    byte0 + k : byte0 + k + stop : period_bytes
-                ]
-            tail = buf[byte0 + 8 : byte0 + 8 + stop : period_bytes] >> np.uint8(
-                8 - spill
-            )
-            grid[:, j] = (acc << np.uint64(spill)) | tail
-    out[:] = grid.ravel()[:count]
-
-
-def _unpack_periods(
-    src: np.ndarray, count: int, nbits: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Unpack fields whose whole lane period fits one 64-bit word.
-
-    Left-justifies each period's bytes in a big-endian uint64, converts to
-    native order in one cast, then pulls every lane out with one scalar
-    shift into contiguous rows -- a handful of full-width vector passes,
-    no per-lane byte striding.  Covers every width the encoder emits in
-    practice (all of 1-8 plus the even widths up to 64).
-    """
-    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
-    words = np.zeros((nperiods, 8), dtype=np.uint8)
-    flat = words[:, :period_bytes]
-    nfull = len(src) // period_bytes
-    flat[:nfull] = src[: nfull * period_bytes].reshape(nfull, period_bytes)
-    rem = len(src) - nfull * period_bytes
-    if rem:
-        flat[nfull, :rem] = src[nfull * period_bytes :]
-    acc = words.view(">u8").reshape(nperiods).astype(np.uint64)
-    rows = np.empty((lanes, nperiods), dtype=np.uint64)
-    for j in range(lanes):
-        np.right_shift(acc, np.uint64(64 - (j + 1) * nbits), out=rows[j])
-    if nbits < 64:
-        np.bitwise_and(rows, np.uint64((1 << nbits) - 1), out=rows)
-    return _emit_rows(rows, count, out)
-
-
-def _emit_rows(
-    rows: np.ndarray, count: int, out: Optional[np.ndarray]
-) -> np.ndarray:
-    """Interleave per-lane ``rows`` into value order, into ``out`` if it fits.
-
-    ``rows`` is ``(lanes, nperiods)``; value ``i`` lives at
-    ``rows[i % lanes, i // lanes]``.  When the caller's destination holds a
-    whole number of periods (every full-block run does), the transpose is
-    written straight into it -- one copy instead of two.
-    """
-    lanes, nperiods = rows.shape
-    if out is not None and count == lanes * nperiods:
-        np.copyto(out.reshape(nperiods, lanes), rows.T)
-        return out
-    result = np.ascontiguousarray(rows.T).reshape(-1)[:count]
-    if out is not None:
-        out[:] = result
-        return out
-    return result
-
-
-def _unpack_periods2(
-    src: np.ndarray, count: int, nbits: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Unpack fields whose lane period fits two 64-bit words (9-16 bytes).
-
-    Same left-justified big-endian layout as :func:`_unpack_periods`, with
-    each period split into a high and a low word; a lane's field is read
-    from whichever word holds it, or stitched across the boundary with one
-    shift/or.  This keeps the widths real delta streams actually produce
-    (9, 11, 13 bits at odd phases) off the per-byte strided path.
-    """
-    lanes, period_bytes, nperiods = _lane_geometry(nbits, count)
-    words = np.zeros((nperiods, 16), dtype=np.uint8)
-    flat = words[:, :period_bytes]
-    nfull = len(src) // period_bytes
-    flat[:nfull] = src[: nfull * period_bytes].reshape(nfull, period_bytes)
-    rem = len(src) - nfull * period_bytes
-    if rem:
-        flat[nfull, :rem] = src[nfull * period_bytes :]
-    pair = words.reshape(-1).view(">u8").reshape(nperiods, 2)
-    hi = pair[:, 0].astype(np.uint64)
-    lo = pair[:, 1].astype(np.uint64)
-    rows = np.empty((lanes, nperiods), dtype=np.uint64)
-    for j in range(lanes):
-        start = j * nbits
-        end = start + nbits
-        if end <= 64:
-            np.right_shift(hi, np.uint64(64 - end), out=rows[j])
-        elif start >= 64:
-            np.right_shift(lo, np.uint64(128 - end), out=rows[j])
-        else:
-            np.left_shift(hi, np.uint64(end - 64), out=rows[j])
-            rows[j] |= lo >> np.uint64(128 - end)
-    np.bitwise_and(rows, np.uint64((1 << nbits) - 1), out=rows)
-    return _emit_rows(rows, count, out)
+        values = values & np.uint64((1 << nbits) - 1)
+    return _pack_rows(values, nbits).tobytes()
 
 
 def _unpack_words(
     data, count: int, nbits: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Inverse of :func:`_pack_words` (same lane-periodic strategy).
+    """Inverse of :func:`_pack_words`: the one-row case of
+    :func:`_unpack_rows`.
 
-    ``data`` may be ``bytes`` or a ``memoryview`` (callers slice large
-    payloads as views to avoid copies); ``out``, when given, is a
-    ``count``-long uint64 destination written without a staging copy.
+    ``data`` may be ``bytes`` or a ``memoryview``; ``out``, when given, is
+    a ``count``-long uint64 destination filled and returned.
     """
+    if out is None:
+        out = np.empty(count, dtype=np.uint64)
     if nbits == 0 or count == 0:
-        if out is not None:
-            out[:] = 0
-            return out
-        return np.zeros(count, dtype=np.uint64)
+        out[:] = 0
+        return out
     if not 0 < nbits <= 64:
         raise CodecError(f"word width {nbits} outside [0, 64]")
     nbytes = (count * nbits + 7) // 8
     if len(data) < nbytes:
         raise CodecError("packed bitstream shorter than its value count")
     src = np.frombuffer(data, dtype=np.uint8, count=nbytes)
-    _, period_bytes, nperiods = _lane_geometry(nbits, count)
-    if period_bytes <= 8:
-        return _unpack_periods(src, count, nbits, out)
-    if period_bytes <= 16:
-        return _unpack_periods2(src, count, nbits, out)
-    buf = np.zeros(nperiods * period_bytes + 16, dtype=np.uint8)
-    buf[:nbytes] = src
-    if out is None:
-        out = np.empty(count, dtype=np.uint64)
-    _unpack_lanes(buf, count, nbits, out)
+    _unpack_rows(src, 1, count, nbits, out[np.newaxis])
     return out
 
 
-def _width_runs(widths: Sequence[int]) -> Iterator[Tuple[int, int]]:
-    """Yield ``(start_block, stop_block)`` runs of equal width.
+def _row_index(rows: Sequence[int]):
+    """Index selecting ``rows`` of a matrix: a slice (a view, no copy) when
+    they are consecutive, which they are whenever a group of frames keeps
+    one width per block; the row list otherwise."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return list(rows)
 
-    Full blocks hold ``_BLOCK_VALUES`` (a multiple of 8) values, so every
-    block but the stream's last starts byte-aligned; a run of equal-width
-    blocks can therefore be packed/unpacked as one dense bitstream whose
-    bytes are exactly the concatenation of the per-block bitstreams.
+
+def _encode_rows(
+    zz: np.ndarray, level: int, allow_stored: bool
+) -> List["tuple[int, bytes]"]:
+    """Entropy-code each row of a ``(rows, count)`` zigzagged matrix.
+
+    One frame per row.  Returns one ``(flags, payload)`` per row:
+    ``flags`` is ``_FLAG_STORED`` when the bit-packed body ships as-is
+    (deflate did not shrink it by >= 1/16) and ``0`` when the payload is
+    deflated.  ``allow_stored=False`` forces the deflate stage -- used for
+    I-frames so every group of frames keeps a zlib-checksummed anchor that
+    rejects corrupted streams.
+
+    Row-batched: one reduction gives every row's per-block maximum, and
+    each ``(block, width)`` group of rows is bit-packed by one
+    :func:`_pack_rows` call.  Full blocks hold ``_BLOCK_VALUES`` (a
+    multiple of 8) values, so each block's bitstream ends on a byte and a
+    body's packed section is the concatenation of its blocks' bytes.  Only
+    the body join, deflate and the stored-or-deflated choice run per row.
     """
-    nblocks = len(widths)
-    b = 0
-    while b < nblocks:
-        e = b + 1
-        while e < nblocks and widths[e] == widths[b]:
-            e += 1
-        yield b, e
-        b = e
-
-
-def _encode_delta_block(
-    deltas: np.ndarray, level: int, allow_stored: bool = True
-) -> "tuple[int, bytes]":
-    """Zigzag + blockwise fixed-width bit-pack signed deltas.
-
-    Returns ``(flags, payload)`` where ``flags`` is ``_FLAG_STORED`` when the
-    bit-packed body ships as-is (deflate did not shrink it by >= 1/16) and
-    ``0`` when the payload is deflated.  ``allow_stored=False`` forces the
-    deflate stage -- used for I-frames so every group of frames keeps a
-    zlib-checksummed anchor that rejects corrupted streams.
-    """
-    return _encode_zigzag_block(_zigzag(deltas.ravel()), level, allow_stored)
-
-
-def _encode_zigzag_block(
-    flat: np.ndarray, level: int, allow_stored: bool = True
-) -> "tuple[int, bytes]":
-    """Entropy-code already-zigzagged uint64 values (see
-    :func:`_encode_delta_block`); batched encoders zigzag a whole GOF in
-    one pass and feed each frame's row here."""
-    nvalues = flat.size
-    nblocks = (nvalues + _BLOCK_VALUES - 1) // _BLOCK_VALUES
+    nrows, count = zz.shape
+    nblocks = (count + _BLOCK_VALUES - 1) // _BLOCK_VALUES
     if nblocks:
-        padded = np.zeros(nblocks * _BLOCK_VALUES, dtype=np.uint64)
-        padded[:nvalues] = flat
-        maxima = padded.reshape(nblocks, _BLOCK_VALUES).max(axis=1)
-        widths = bytes(int(m).bit_length() for m in maxima)
+        starts = np.arange(0, count, _BLOCK_VALUES)
+        maxima = np.maximum.reduceat(zz, starts, axis=1).tolist()
+        widths = [bytes(int(m).bit_length() for m in row) for row in maxima]
     else:
-        widths = b""
-    packed: List[bytes] = []
-    for b, e in _width_runs(widths):
-        run = flat[b * _BLOCK_VALUES : min(e * _BLOCK_VALUES, nvalues)]
-        packed.append(_pack_words(run, widths[b]))
-    body = _PAYLOAD_HEAD.pack(nblocks, nvalues) + widths + b"".join(packed)
-    comp = zlib.compress(body, level)
-    if not allow_stored or len(comp) < len(body) - len(body) // 16:
-        return 0, comp
-    return _FLAG_STORED, body + _STORED_CRC.pack(zlib.crc32(body))
+        widths = [b""] * nrows
+    pieces: List[List[bytes]] = [[] for _ in range(nrows)]
+    for b in range(nblocks):
+        lo, hi = b * _BLOCK_VALUES, min((b + 1) * _BLOCK_VALUES, count)
+        groups: dict = {}
+        for r in range(nrows):
+            groups.setdefault(widths[r][b], []).append(r)
+        for nbits, rows in groups.items():
+            packed = _pack_rows(zz[_row_index(rows), lo:hi], nbits)
+            flat, step = packed.tobytes(), packed.shape[1]
+            for i, r in enumerate(rows):
+                pieces[r].append(flat[i * step : (i + 1) * step])
+    head = _PAYLOAD_HEAD.pack(nblocks, count)
+    coded = []
+    for r in range(nrows):
+        body = head + widths[r] + b"".join(pieces[r])
+        comp = zlib.compress(body, level)
+        if not allow_stored or len(comp) < len(body) - len(body) // 16:
+            coded.append((0, comp))
+        else:
+            coded.append((_FLAG_STORED, body + _STORED_CRC.pack(zlib.crc32(body))))
+    return coded
 
 
-def _decode_delta_block(
-    payload: bytes,
-    expected_count: int,
-    stored: bool = False,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Decode one entropy-coded delta block to int64 values.
-
-    ``out``, when given, is an ``expected_count``-long uint64 buffer the
-    unpacked values land in directly (it is un-zigzagged in place and the
-    int64 view of it returned) -- batched GOF decode passes rows of its
-    frame matrix here to skip a per-frame staging copy.
-    """
+def _frame_body(payload, stored: bool, frame: int):
+    """Verify and open one frame's entropy-coded body: check the stored
+    CRC-32 or inflate.  Errors name ``frame`` and the values that failed."""
     if stored:
         if len(payload) < _STORED_CRC.size:
-            raise CodecError("stored payload shorter than its checksum")
-        raw = bytes(payload[: -_STORED_CRC.size])
-        (crc,) = _STORED_CRC.unpack_from(payload, len(payload) - _STORED_CRC.size)
-        if zlib.crc32(raw) != crc:
-            raise CodecError("stored payload checksum mismatch")
-    else:
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise CodecError(f"frame payload inflate failed: {exc}") from exc
-    if len(raw) < _PAYLOAD_HEAD.size:
-        raise CodecError("payload shorter than its prologue")
-    nblocks, count = _PAYLOAD_HEAD.unpack_from(raw, 0)
-    if count != expected_count:
-        raise CodecError(f"payload holds {count} values, expected {expected_count}")
+            raise CodecError(
+                f"frame {frame}: stored payload shorter than its checksum "
+                f"({len(payload)} < {_STORED_CRC.size} bytes)"
+            )
+        body = payload[: -_STORED_CRC.size]
+        (recorded,) = _STORED_CRC.unpack_from(payload, len(body))
+        computed = zlib.crc32(body)
+        if computed != recorded:
+            raise CodecError(
+                f"frame {frame}: stored payload checksum mismatch "
+                f"(recorded {recorded:#010x}, computed {computed:#010x})"
+            )
+        return body
+    try:
+        return memoryview(zlib.decompress(payload))
+    except zlib.error as exc:
+        raise CodecError(f"frame {frame}: payload inflate failed: {exc}") from exc
+
+
+def _block_runs(
+    body, count: int, col0: int, frame: int
+) -> List["tuple[int, int, int, int]"]:
+    """Parse and bounds-check one body's block table.
+
+    Returns one ``(col_lo, col_hi, nbits, byte_offset)`` per block: its
+    values land in columns ``[col_lo, col_hi)`` of the frame's row (offset
+    by ``col0``) and its bitstream starts at ``byte_offset`` of ``body``.
+    Every check of the stream runs here, before any unpacking: prologue
+    size, value count, block count, width table, word widths and the bytes
+    each block needs.
+    """
+    if len(body) < _PAYLOAD_HEAD.size:
+        raise CodecError(
+            f"frame {frame}: payload shorter than its prologue "
+            f"({len(body)} < {_PAYLOAD_HEAD.size} bytes)"
+        )
+    nblocks, found = _PAYLOAD_HEAD.unpack_from(body, 0)
+    if found != count:
+        raise CodecError(
+            f"frame {frame}: payload holds {found} values, expected {count}"
+        )
     if nblocks != (count + _BLOCK_VALUES - 1) // _BLOCK_VALUES:
-        raise CodecError(f"block table of {nblocks} blocks cannot hold {count} values")
+        raise CodecError(
+            f"frame {frame}: block table of {nblocks} blocks cannot hold "
+            f"{count} values"
+        )
     offset = _PAYLOAD_HEAD.size
-    widths = bytes(raw[offset : offset + nblocks])
+    widths = bytes(body[offset : offset + nblocks])
     if len(widths) < nblocks:
-        raise CodecError("truncated block-width table")
+        raise CodecError(
+            f"frame {frame}: truncated block-width table "
+            f"({len(widths)} of {nblocks} bytes)"
+        )
     offset += nblocks
-    mv = memoryview(raw)  # slice payload chunks without copying
-    if out is None:
-        out = np.empty(count, dtype=np.uint64)
-    for b, e in _width_runs(widths):
-        nbits = widths[b]
-        run_count = min(e * _BLOCK_VALUES, count) - b * _BLOCK_VALUES
-        nbytes = (run_count * nbits + 7) // 8
-        chunk = mv[offset : offset + nbytes]
-        if len(chunk) < nbytes:
-            raise CodecError("truncated packed bitstream")
-        _unpack_words(
-            chunk,
-            run_count,
-            nbits,
-            out=out[b * _BLOCK_VALUES : b * _BLOCK_VALUES + run_count],
-        )
+    runs = []
+    for b, nbits in enumerate(widths):
+        lo = b * _BLOCK_VALUES
+        hi = min(lo + _BLOCK_VALUES, count)
+        nbytes = ((hi - lo) * nbits + 7) // 8
+        if len(body) - offset < nbytes:
+            raise CodecError(
+                f"frame {frame}: truncated packed bitstream: block {b} at "
+                f"width {nbits} needs {nbytes} bytes, "
+                f"{len(body) - offset} available"
+            )
+        if nbits > 64:
+            raise CodecError(
+                f"frame {frame}: word width {nbits} outside [0, 64] "
+                f"in block {b}"
+            )
+        runs.append((col0 + lo, col0 + hi, nbits, offset))
         offset += nbytes
-    return _unzigzag(out)
+    return runs
 
 
-def _encode_frame_payload(
-    ints: np.ndarray, prev_ints: Optional[np.ndarray], level: int
-) -> "tuple[int, bytes]":
-    """Encode one quantized frame; returns ``(flags, payload)``.
+def _unpack_frames(frames, udat: np.ndarray) -> None:
+    """Unpack checked frame bodies into rows of ``udat`` (uint64).
 
-    I-frames (first frame) store the first atom absolutely plus intra-frame
-    deltas along the atom axis; P-frames store temporal deltas against the
-    previous frame, which are much smaller for equilibrated dynamics.
+    ``frames`` holds one ``(row, body, runs)`` per frame, ``runs`` as
+    returned by :func:`_block_runs`.  Blocks that cover the same columns
+    at the same width are gathered across frames into one ``(rows,
+    nbytes)`` matrix and unpacked by a single :func:`_unpack_rows` call --
+    straight into ``udat`` when the rows are consecutive.
     """
-    if prev_ints is None:
-        # The raw origin sits outside the deflate stream, so it needs its
-        # own CRC -- a flipped origin bit would otherwise silently shift
-        # every coordinate in the group of frames.
-        origin = ints[0:1].astype("<i4").tobytes()
-        deltas = np.diff(ints, axis=0)
-        sflag, block = _encode_delta_block(deltas, level, allow_stored=False)
-        return sflag, origin + _STORED_CRC.pack(zlib.crc32(origin)) + block
-    deltas = ints.astype(np.int64) - prev_ints.astype(np.int64)
-    sflag, block = _encode_delta_block(deltas, level)
-    return _FLAG_PFRAME | sflag, block
-
-
-def _decode_iframe_ints(
-    payload: bytes, natoms: int, stored: bool, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Decode an I-frame payload to its absolute quantized ints.
-
-    ``out``, when given, is a flat ``natoms * 3`` int64 row (batched GOF
-    decode passes rows of its frame matrix); returns the ``(natoms, 3)``
-    view either way.
-    """
-    prefix = 12 + _STORED_CRC.size
-    if len(payload) < prefix:
-        raise CodecError("I-frame payload missing origin")
-    (origin_crc,) = _STORED_CRC.unpack_from(payload, 12)
-    if zlib.crc32(bytes(payload[:12])) != origin_crc:
-        raise CodecError("I-frame origin checksum mismatch")
-    origin = np.frombuffer(payload, dtype="<i4", count=3).astype(np.int64)
-    deltas = _decode_delta_block(
-        payload[prefix:], (natoms - 1) * 3, stored
-    ).reshape(natoms - 1, 3)
-    ints = (
-        np.empty((natoms, 3), dtype=np.int64)
-        if out is None
-        else out.reshape(natoms, 3)
-    )
-    ints[0] = origin
-    np.cumsum(deltas, axis=0, dtype=np.int64, out=ints[1:])
-    ints[1:] += origin
-    return ints
-
-
-def _decode_frame_payload(
-    payload: bytes,
-    natoms: int,
-    precision: float,
-    flags: int,
-    prev_ints: Optional[np.ndarray],
-    out: Optional[np.ndarray] = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Decode one frame; returns ``(coords_float32, quantized_ints)``.
-
-    ``out`` (a ``(natoms, 3)`` float32 view) receives the coordinates
-    without an intermediate allocation when provided.  The hot path
-    (:func:`_decode_run`) batches whole GOFs instead; this single-frame
-    entry point remains for targeted decodes and tests.
-    """
-    _check_precision(precision, "in frame header")
-    stored = bool(flags & _FLAG_STORED)
-    if flags & _FLAG_PFRAME:
-        if prev_ints is None:
-            raise CodecError("P-frame encountered with no reference frame")
-        deltas = _decode_delta_block(payload, natoms * 3, stored).reshape(
-            natoms, 3
-        )
-        np.add(deltas, prev_ints, out=deltas)  # deltas buffer is ours
-        ints = deltas
-    else:
-        ints = _decode_iframe_ints(payload, natoms, stored)
-    if out is None:
-        out = np.empty((natoms, 3), dtype=np.float32)
-    # Multiply by the float64 reciprocal instead of dividing: the float64
-    # intermediate can differ from true division by <= 1 ulp, which is far
-    # inside the float32 rounding the store performs and orders of magnitude
-    # below the 0.5-quantum margin the idempotent-recompression property
-    # needs (re-quantizing a decoded coordinate lands on the same integer).
-    np.multiply(ints, 1.0 / precision, out=out, casting="unsafe")
-    return out, ints
+    groups: dict = {}
+    for row, body, runs in frames:
+        for lo, hi, nbits, offset in runs:
+            groups.setdefault((lo, hi, nbits), []).append((row, body, offset))
+    slack = bytes(_UNPACK_SLACK)
+    for (lo, hi, nbits), members in groups.items():
+        rows = [row for row, _, _ in members]
+        nbytes = ((hi - lo) * nbits + 7) // 8
+        chunks = [body[off : off + nbytes] for _, body, off in members]
+        src = np.frombuffer(b"".join(chunks + [slack]), dtype=np.uint8)
+        index = _row_index(rows)
+        if isinstance(index, slice):
+            _unpack_rows(src, len(rows), hi - lo, nbits, out=udat[index, lo:hi])
+        else:
+            udat[index, lo:hi] = _unpack_rows(src, len(rows), hi - lo, nbits)
 
 
 def resolve_workers(workers: Optional[int], ntasks: int) -> int:
@@ -672,16 +587,34 @@ def _encode_gof(
 
     Whole-GOF batch kernels: one quantize pass over the frame block, one
     ``np.diff`` along the frame axis for every P-frame's temporal deltas,
-    one zigzag pass over all of them -- the only per-frame work left is
-    the entropy stage (width scan, bit-pack, deflate), which runs inside
-    GIL-releasing C loops.  Transient int64 state is one GOF's deltas,
-    bounded by ``keyframe_interval``.
+    one zigzag pass over all of them, then the row-batched entropy stage
+    (:func:`_encode_rows`).  The I-frame stores its first atom absolutely
+    (behind its own CRC: the origin sits outside the deflate stream, and a
+    flipped origin bit would otherwise shift every coordinate of the
+    group) plus intra-frame deltas along the atom axis.  Transient int64
+    state is one GOF's deltas, bounded by ``keyframe_interval``.
     """
     nframes = stop - start
     block = _quantize(trajectory.coords[start:stop], precision)
+    origin = block[0, 0:1].astype("<i4").tobytes()
+    # int64 before the diff: neighbouring atoms may sit more than 2**31
+    # quanta apart, which an int32 diff would wrap into a wrong delta.
+    (iflags, ipayload), = _encode_rows(
+        _zigzag(np.diff(block[0].astype(np.int64), axis=0).reshape(1, -1)),
+        level,
+        False,
+    )
+    coded = [(iflags, origin + _STORED_CRC.pack(zlib.crc32(origin)) + ipayload)]
+    if nframes > 1:
+        zz = _zigzag(
+            np.diff(block.reshape(nframes, -1).astype(np.int64), axis=0)
+        )
+        coded += [
+            (_FLAG_PFRAME | sflag, payload)
+            for sflag, payload in _encode_rows(zz, level, True)
+        ]
     chunks: List[bytes] = []
-
-    def emit(i: int, flags: int, payload: bytes) -> None:
+    for i, (flags, payload) in enumerate(coded):
         chunks.append(
             _HEADER.pack(
                 XTC_MAGIC,
@@ -695,16 +628,6 @@ def _encode_gof(
             )
         )
         chunks.append(payload)
-
-    flags, payload = _encode_frame_payload(block[0], None, level)
-    emit(0, flags, payload)
-    if nframes > 1:
-        zz = _zigzag(
-            np.diff(block.reshape(nframes, -1).astype(np.int64), axis=0)
-        )
-        for i in range(1, nframes):
-            sflag, payload = _encode_zigzag_block(zz[i - 1], level)
-            emit(i, _FLAG_PFRAME | sflag, payload)
     return b"".join(chunks)
 
 
@@ -902,16 +825,21 @@ def _decode_gof_ints(
     """Decode one keyframe-anchored group of frames to absolute quantized
     ints, shape ``(nframes, natoms, 3)``.
 
-    Batched kernel: every frame's entropy stage unpacks straight into one
-    row of a ``(nframes, natoms * 3)`` int64 matrix, then a single
-    ``np.cumsum`` along the frame axis resolves all temporal P-frame deltas
-    at once.  Equivalent to the per-frame ``prev + delta`` chain (int64
-    addition is associative and overflow-free at these magnitudes) but the
-    Python-level loop only touches the entropy stage.
+    Every frame is checked first, in stream order (precision, I/P flags,
+    origin CRC, stored CRC or inflate, block table, bytes per block).
+    Then every ``(block, width)`` group of rows unpacks in one batched
+    pass into a ``(nframes, natoms * 3)`` int64 matrix -- the I-frame's
+    atom-axis deltas into row 0 after its origin, each P-frame's temporal
+    deltas into its own row -- one un-zigzag covers the whole matrix, and
+    prefix sums (along the atoms of row 0, then row-wise down the frames)
+    reconstruct absolute ints.  Equivalent to the per-frame ``prev +
+    delta`` chain: int64 addition is associative and overflow-free at
+    these magnitudes.
     """
     nframes = len(infos)
-    ints = np.empty((nframes, natoms * 3), dtype=np.int64)
-    udat = ints.view(np.uint64)
+    nvalues = natoms * 3
+    ints = np.empty((nframes, nvalues), dtype=np.int64)
+    frames = []
     for pos, info in enumerate(infos):
         _check_precision(info.precision, f"in frame {info.index}")
         begin = info.offset + info.header_nbytes
@@ -919,14 +847,35 @@ def _decode_gof_ints(
         stored = bool(info.flags & _FLAG_STORED)
         if pos == 0:
             if info.flags & _FLAG_PFRAME:
-                raise CodecError("P-frame encountered with no reference frame")
-            _decode_iframe_ints(payload, natoms, stored, out=ints[0])
+                raise CodecError(
+                    f"P-frame {info.index} encountered with no reference frame"
+                )
+            prefix = 12 + _STORED_CRC.size
+            if len(payload) < prefix:
+                raise CodecError(f"I-frame {info.index} payload missing origin")
+            (recorded,) = _STORED_CRC.unpack_from(payload, 12)
+            computed = zlib.crc32(payload[:12])
+            if computed != recorded:
+                raise CodecError(
+                    f"I-frame {info.index} origin checksum mismatch "
+                    f"(recorded {recorded:#010x}, computed {computed:#010x})"
+                )
+            ints[0, :3] = np.frombuffer(payload, dtype="<i4", count=3)
+            body = _frame_body(payload[prefix:], stored, info.index)
+            runs = _block_runs(body, nvalues - 3, 3, info.index)
         else:
             if not info.flags & _FLAG_PFRAME:
                 raise CodecError(
                     f"I-frame {info.index} inside a group of frames"
                 )
-            _decode_delta_block(payload, natoms * 3, stored, out=udat[pos])
+            body = _frame_body(payload, stored, info.index)
+            runs = _block_runs(body, nvalues, 0, info.index)
+        frames.append((pos, body, runs))
+    udat = ints.view(np.uint64)
+    _unpack_frames(frames, udat)
+    _unzigzag(udat.reshape(-1)[3:])
+    row0 = ints[0].reshape(natoms, 3)
+    np.cumsum(row0, axis=0, out=row0)
     # Row-wise prefix sum: each add streams two contiguous rows, where
     # ``np.cumsum(axis=0)`` would walk columns with frame-sized strides.
     for pos in range(1, nframes):
@@ -939,10 +888,14 @@ def _ints_to_coords(
 ) -> None:
     """Dequantize a block of frames into float32 ``out``.
 
-    Multiply by the float64 reciprocal instead of dividing (see
-    :func:`_decode_frame_payload`); a single vectorized multiply when every
-    frame shares one precision (the encoder always emits that), with a
-    per-frame fallback for hand-crafted/fuzzed streams that disagree.
+    Multiply by the float64 reciprocal instead of dividing: the float64
+    intermediate can differ from true division by <= 1 ulp, which is far
+    inside the float32 rounding the store performs and orders of magnitude
+    below the 0.5-quantum margin the idempotent-recompression property
+    needs (re-quantizing a decoded coordinate lands on the same integer).
+    A single vectorized multiply when every frame shares one precision
+    (the encoder always emits that), with a per-frame fallback for
+    hand-crafted/fuzzed streams that disagree.
     """
     p0 = infos[0].precision
     if all(i.precision == p0 for i in infos):
